@@ -7,14 +7,11 @@ evaluates Recall@K, and removes black borders from video frames.
 
 from .binder import (
     BindModel,
-    SimilarityMatrix,
-    cosine_similarity,
     info_nce_backward,
     info_nce_loss,
     l2_normalize_rows,
     project_audio,
     project_video,
-    similarity_matrix,
 )
 from .borders import (
     BorderParams,
@@ -56,6 +53,7 @@ from .retrieval import (
     recall_at_k,
     recall_from_projections,
     retrieve_topk,
+    retrieve_topk_batch,
 )
 from .training import (
     TrainConfig,

@@ -1,4 +1,4 @@
-"""Cosine similarity and the temperature-scaled contrastive objective.
+"""Cosine scores and the temperature-scaled contrastive objective.
 
 Cosine is realized as normalize-then-dot so the backward pass through the
 normalization lives in one place. The batch loss is the symmetric form:
@@ -10,9 +10,14 @@ with S the NxN cosine matrix whose diagonal holds the true pairs,
 Softmaxes are computed with max subtraction, so small temperatures do not
 overflow.
 
-The dot products behind every score go through one shape-independent
-reduction (:func:`row_dots`); a similarity matrix entry is therefore
-bit-identical to the corresponding pairwise cosine call.
+:func:`row_dots` is the exact reference dot product: an elementwise product
+followed by numpy's pairwise sum over each row, so a score's bits do not
+depend on the shapes it was computed in. :func:`pair_dots` applies the same
+reduction to chosen (row, column) pairs and gives the same bits. Training
+scores its batch with ``row_dots``. Search (:mod:`avbinder.retrieval`)
+screens with a BLAS product and calls these two only where the GEMM score
+cannot settle the order; every score it returns is still the ``row_dots``
+value.
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ class BindModel:
             raise ValueError("heads must share their output dimension")
 
 
-@dataclass
-class SimilarityMatrix:
-    scores: np.ndarray
-    row_ids: tuple[str, ...] | None = None
-    col_ids: tuple[str, ...] | None = None
-
-
 def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """All pairwise dot products between rows of u and rows of v.
 
@@ -68,6 +66,25 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     for start in range(0, u.shape[0], step):
         block = u[start : start + step]
         out[start : start + len(block)] = (block[:, None, :] * v[None, :, :]).sum(axis=-1)
+    return out
+
+
+def pair_dots(u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dot products of u[rows[i]] and v[cols[i]] for every i.
+
+    Same reduction as :func:`row_dots`, so each value has the bits of
+    ``row_dots(u, v)[rows[i], cols[i]]``. Pairs go in chunks so the two
+    gathered rows and their product stay within the ``row_dots`` cap.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape[1] != v.shape[1]:
+        raise ValueError(f"dimension mismatch: {u.shape[1]} vs {v.shape[1]}")
+    step = max(1, _DOT_CHUNK_ELEMS // (3 * max(1, u.shape[1])))
+    out = np.empty(len(rows), dtype=np.float64)
+    for start in range(0, len(rows), step):
+        r, c = rows[start : start + step], cols[start : start + step]
+        out[start : start + len(r)] = (u[r] * v[c]).sum(axis=-1)
     return out
 
 
@@ -94,34 +111,7 @@ def normalize_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return (d_out - u * inner) / norms
 
 
-def cosine_similarity(a: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if a.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {v.shape[0]}")
-    na = l2_normalize_rows(a[None, :])
-    nv = l2_normalize_rows(v[None, :])
-    score = row_dots(na, nv)[0, 0]
-    return float(min(1.0, max(-1.0, score)))
-
-
-def similarity_matrix(
-    yv: np.ndarray,
-    ya: np.ndarray,
-    row_ids: tuple[str, ...] | None = None,
-    col_ids: tuple[str, ...] | None = None,
-) -> SimilarityMatrix:
-    """Cosine scores for every (row of yv) x (row of ya) pair."""
-    u = l2_normalize_rows(yv)
-    v = l2_normalize_rows(ya)
-    scores = np.clip(row_dots(u, v), -1.0, 1.0)
-    return SimilarityMatrix(scores=scores, row_ids=row_ids, col_ids=col_ids)
-
-
 def _as_square_scores(s, tau: float) -> np.ndarray:
-    if isinstance(s, SimilarityMatrix):
-        s = s.scores
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"similarity matrix must be square, got {s.shape}")

@@ -31,6 +31,7 @@ from .retrieval import (
     build_index,
     recall_at_k,
     retrieve_topk,
+    retrieve_topk_batch,
 )
 from .seeding import derive_seed
 from .training import (
@@ -57,6 +58,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -112,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="query-side embedding file")
     p.add_argument("--candidates", required=True, help="candidate-side embedding file")
     p.add_argument("--query-id", help="run a single query instead of all rows")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="v2a")
 
     p = sub.add_parser("crop", help="detect black borders and crop frames")
@@ -230,11 +241,11 @@ def _cmd_retrieve(args) -> int:
     if args.query_id is not None:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
-        rows = [queries.ids.index(args.query_id)]
+        i = queries.ids.index(args.query_id)
+        results = [retrieve_topk(index, y_query[i], args.k, query_id=args.query_id)]
     else:
-        rows = range(queries.count)
-    for i in rows:
-        result = retrieve_topk(index, y_query[i], args.k, query_id=queries.ids[i])
+        results = retrieve_topk_batch(index, y_query, args.k, queries.ids)
+    for result in results:
         for rank, (cand_id, score) in enumerate(result.items, start=1):
             print(f"{result.query_id}\t{rank}\t{cand_id}\t{score:.6f}")
     return EXIT_OK

@@ -358,18 +358,22 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
         raise TruncatedPayloadError(f"{source}: corrupt checkpoint metadata") from exc
     if reader.offset != len(reader.blob):
         raise TruncatedPayloadError(f"{source}: trailing data in checkpoint")
+    if not isinstance(meta, dict) or not all(
+        isinstance(meta.get(key, {}), dict) for key in ("video_head", "audio_head", "config")
+    ):
+        raise TruncatedPayloadError(f"{source}: checkpoint metadata is not a JSON object")
 
     built_heads = []
     for blocks, key in zip(heads, ("video_head", "audio_head")):
         head_meta = meta.get(key, {})
-        built_heads.append(
-            ProjectionHead(
-                **blocks,
-                bn_momentum=float(head_meta.get("bn_momentum", 0.1)),
-                bn_eps=float(head_meta.get("bn_eps", 1e-5)),
-                dropout_p=float(head_meta.get("dropout_p", 0.5)),
-            )
-        )
+        try:
+            hyper = {
+                name: float(head_meta.get(name, default))
+                for name, default in (("bn_momentum", 0.1), ("bn_eps", 1e-5), ("dropout_p", 0.5))
+            }
+        except (TypeError, ValueError) as exc:
+            raise TruncatedPayloadError(f"{source}: bad {key} metadata") from exc
+        built_heads.append(ProjectionHead(**blocks, **hyper))
     model = BindModel(video_head=built_heads[0], audio_head=built_heads[1], temperature=tau)
     state = TrainState(
         video_opt=AdamState(m=moments["m"][0], v=moments["v"][0], t=int(step)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -79,3 +81,73 @@ def topk_full_sort(ids, scores, k: int):
     """Reference top-k: full sort by (-score, id)."""
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [(ids[i], float(scores[i])) for i in order[:k]]
+
+
+def write_integer_search_fixture(root, seed: int = 4, pairs: int = 40):
+    """Checkpoint plus paired MVBE files whose projections are exact integers.
+
+    Both heads have small integer weights, zero biases, zero running mean
+    and running variance + eps = 1, so an integer feature row projects to an
+    integer row whatever order BLAS sums in. Features are quantized to
+    -1..2 with duplicated and doubled rows, and ids are shuffled against row
+    order, so the printed rankings lean on exact ties and on the id
+    tie-break. Returns the file paths by name.
+    """
+    from avbinder.binder import BindModel
+    from avbinder.embedio import EmbeddingMatrix, save_embeddings
+    from avbinder.projection import ProjectionHead
+    from avbinder.training import TrainState, save_checkpoint
+
+    rng = np.random.default_rng(seed)
+    d_in, d_hid, d_out = 10, 12, 6
+
+    def head():
+        zeros = np.zeros(d_hid, np.float32)
+        return ProjectionHead(
+            w1=rng.integers(-2, 3, (d_in, d_hid)).astype(np.float32),
+            b1=zeros.copy(),
+            bn_gamma=np.ones(d_hid, np.float32),
+            bn_beta=zeros.copy(),
+            bn_running_mean=zeros.copy(),
+            bn_running_var=zeros.copy(),
+            w2=rng.integers(-2, 3, (d_hid, d_out)).astype(np.float32),
+            b2=np.zeros(d_out, np.float32),
+            bn_eps=1.0,
+        )
+
+    model = BindModel(video_head=head(), audio_head=head(), temperature=0.07)
+    video = rng.integers(-1, 3, (pairs, d_in)).astype(np.float32)
+    audio = rng.integers(-1, 3, (pairs, d_in)).astype(np.float32)
+    video[::6] = video[1]
+    audio[::5] = audio[2]
+    audio[3::7] = 2 * audio[4]
+    ids = tuple(f"t{p:03d}" for p in rng.permutation(pairs))
+
+    root = Path(root)
+    paths = {
+        "ckpt": root / "int.mvbm",
+        "video": root / "int_video.mvbe",
+        "audio": root / "int_audio.mvbe",
+    }
+    save_checkpoint(model, TrainState.for_model(model), paths["ckpt"])
+    save_embeddings(EmbeddingMatrix(ids=ids, data=video), paths["video"])
+    save_embeddings(EmbeddingMatrix(ids=ids, data=audio), paths["audio"])
+    return paths
+
+
+# (argv template, sha256 of stdout) captured before search moved to the
+# screened path; every retrieve row and every eval figure must stay the same
+INTEGER_FIXTURE_GOLDEN = (
+    (["retrieve", "--checkpoint", "{ckpt}", "--queries", "{video}", "--candidates", "{audio}",
+      "--k", "5"],
+     "65967bad36690030baccaf96270570feffcaf105d62a060a18bb611935cb4082"),
+    (["retrieve", "--checkpoint", "{ckpt}", "--queries", "{audio}", "--candidates", "{video}",
+      "--k", "50", "--direction", "a2v"],
+     "0b682755ad98a700830d12b54f899626ad58d684afb58e88742834337da0dd70"),
+    (["eval", "--checkpoint", "{ckpt}", "--video", "{video}", "--audio", "{audio}",
+      "--k", "1,2,5,40"],
+     "f584163a308b134559b8fb1a3d5b5d264dd55e5ed9a56ef01d8dc337ddb12d02"),
+    (["eval", "--checkpoint", "{ckpt}", "--video", "{video}", "--audio", "{audio}",
+      "--k", "1,3,10", "--direction", "a2v", "--format", "line"],
+     "b7e4cd82826a365575008f1634996ea276dfa47877b44f99edc3377f5013383a"),
+)

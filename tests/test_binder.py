@@ -5,15 +5,28 @@ import pytest
 
 from avbinder.binder import (
     BindModel,
-    cosine_similarity,
     info_nce_backward,
     info_nce_loss,
     l2_normalize_rows,
-    similarity_matrix,
+    pair_dots,
+    row_dots,
     _diag_cross_entropy,
 )
+from avbinder.embedio import EmbeddingMatrix
 from avbinder.errors import ZeroNormError
 from avbinder.projection import init_head
+from avbinder.retrieval import build_index, retrieve_topk
+
+
+def cosine_scores(yv, ya):
+    """Cosines as search computes them: normalize, row_dots, clip."""
+    u = l2_normalize_rows(np.atleast_2d(yv))
+    v = l2_normalize_rows(np.atleast_2d(ya))
+    return np.clip(row_dots(u, v), -1.0, 1.0)
+
+
+def cosine(a, b):
+    return float(cosine_scores(a, b)[0, 0])
 
 
 class TestNormalize:
@@ -40,20 +53,20 @@ class TestNormalize:
 
 class TestCosine:
     def test_self_similarity_is_one(self):
-        assert cosine_similarity(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 1.0
+        assert cosine(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 1.0
         v = np.random.default_rng(1).standard_normal(64)
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(v, v) == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_and_orthogonal(self):
         v = np.array([3.0, 4.0])
-        assert cosine_similarity(v, -v) == -1.0
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
+        assert cosine(v, -v) == -1.0
+        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
 
     def test_errors(self):
         with pytest.raises(ZeroNormError):
-            cosine_similarity(np.zeros(4), np.ones(4))
+            cosine(np.zeros(4), np.ones(4))
         with pytest.raises(ValueError):
-            cosine_similarity(np.ones(3), np.ones(4))
+            cosine(np.ones(3), np.ones(4))
 
     def test_against_independent_fsum_oracle(self):
         # independently coded dot/norm evaluation on 100 random 1024-d pairs
@@ -65,38 +78,42 @@ class TestCosine:
                 math.sqrt(math.fsum(float(x) ** 2 for x in a))
                 * math.sqrt(math.fsum(float(y) ** 2 for y in b))
             )
-            assert cosine_similarity(a, b) == pytest.approx(oracle, abs=1e-6)
+            assert cosine(a, b) == pytest.approx(oracle, abs=1e-6)
 
 
 class TestSimilarityMatrix:
     def test_orthonormal_rows_give_identity(self):
         eye = np.eye(2)
-        s = similarity_matrix(eye, eye)
-        assert np.array_equal(s.scores, np.eye(2))
+        assert np.array_equal(cosine_scores(eye, eye), np.eye(2))
 
     def test_hand_dot_product(self):
-        s = similarity_matrix(np.array([[0.6, 0.8]]), np.array([[0.8, 0.6]]))
-        assert s.scores[0, 0] == pytest.approx(0.96, rel=1e-12)
+        s = cosine_scores(np.array([[0.6, 0.8]]), np.array([[0.8, 0.6]]))
+        assert s[0, 0] == pytest.approx(0.96, rel=1e-12)
 
     def test_matches_elementwise_cosine_exactly(self):
+        # row_dots bits do not depend on the shapes they were computed in,
+        # and pair_dots reproduces them on chosen pairs
         rng = np.random.default_rng(3)
         yv = rng.standard_normal((7, 256))
         ya = rng.standard_normal((5, 256))
-        s = similarity_matrix(yv, ya)
+        s = cosine_scores(yv, ya)
         for i in range(7):
             for j in range(5):
-                assert s.scores[i, j] == cosine_similarity(yv[i], ya[j])
+                assert s[i, j] == cosine(yv[i], ya[j])
+        rows, cols = np.divmod(np.arange(35), 5)
+        u, v = l2_normalize_rows(yv), l2_normalize_rows(ya)
+        assert np.array_equal(pair_dots(u, v, rows, cols), row_dots(u, v).ravel())
 
     def test_scores_stay_in_cosine_range(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((40, 8))
         nearly = base + 1e-9 * rng.standard_normal((40, 8))
-        s = similarity_matrix(base, nearly)
-        assert (s.scores <= 1.0).all() and (s.scores >= -1.0).all()
-
-    def test_ids_carried(self):
-        s = similarity_matrix(np.eye(2), np.eye(2), row_ids=("a", "b"), col_ids=("c", "d"))
-        assert s.row_ids == ("a", "b") and s.col_ids == ("c", "d")
+        assert (cosine_scores(base, nearly) <= 1.0).all()
+        assert (cosine_scores(base, nearly) >= -1.0).all()
+        idx = build_index(EmbeddingMatrix(ids=tuple(f"n{i:02d}" for i in range(40)), data=nearly))
+        for q in base:
+            scores = [score for _, score in retrieve_topk(idx, q, k=40).items]
+            assert max(scores) <= 1.0 and min(scores) >= -1.0
 
 
 class TestInfoNceLoss:
@@ -121,10 +138,6 @@ class TestInfoNceLoss:
             info_nce_loss(np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
             info_nce_loss(np.zeros((2, 2)), -1.0)
-
-    def test_accepts_similarity_matrix_wrapper(self):
-        s = similarity_matrix(np.eye(2), np.eye(2))
-        assert info_nce_loss(s, 1.0) == info_nce_loss(s.scores, 1.0)
 
     def test_loss_nonnegative_and_vanishes_with_diagonal_dominance(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -194,6 +195,40 @@ class TestChain:
         )
         assert code == 2
         assert "nope" in err
+
+    def test_retrieve_k_zero_is_usage_error(self, workspace, capsys):
+        code, out, err = run(
+            [
+                "retrieve",
+                "--checkpoint", str(workspace["ckpt"]),
+                "--queries", str(workspace["val_v"]),
+                "--candidates", str(workspace["val_a"]),
+                "--k", "0",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == "" and "--k" in err
+
+    def test_eval_rejects_non_object_metadata(self, workspace, tmp_path, capsys):
+        # metadata is the last field: <u32 length><JSON>; make it valid JSON
+        # that is not an object
+        blob = workspace["ckpt"].read_bytes()
+        start = blob.rindex(b'{"audio_head"')
+        assert struct.unpack("<I", blob[start - 4 : start])[0] == len(blob) - start
+        ckpt = tmp_path / "list_meta.mvbm"
+        ckpt.write_bytes(blob[: start - 4] + struct.pack("<I", 2) + b"[]")
+        code, _, err = run(
+            [
+                "eval",
+                "--checkpoint", str(ckpt),
+                "--video", str(workspace["val_v"]),
+                "--audio", str(workspace["val_a"]),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "metadata" in err
 
 
 class TestReproducibility:

@@ -1,0 +1,189 @@
+"""The screened search path against the row_dots + full-sort oracle.
+
+Search scores with a BLAS product and rescores exactly only where that
+product cannot settle the order. These tests feed it the inputs that put
+the most pairs in the rescored band: duplicated rows, rows one ulp apart,
+quantized coordinates and k at or beyond the candidate count. Every
+ranking, score and Recall figure must equal the oracle's bit for bit.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import INTEGER_FIXTURE_GOLDEN, topk_full_sort, write_integer_search_fixture
+
+from avbinder import retrieval
+from avbinder.binder import l2_normalize_rows, pair_dots, row_dots
+from avbinder.cli import run_cli
+from avbinder.embedio import EmbeddingMatrix
+from avbinder.retrieval import (
+    DIRECTION_V2A,
+    build_index,
+    recall_from_projections,
+    retrieve_topk,
+    retrieve_topk_batch,
+)
+
+
+@st.composite
+def near_tie_rows(draw, dtype, min_rows=1, max_rows=30, dim=None):
+    """Rows built to tie: quantized or gaussian coordinates, some rows
+    copied from others, and some moved by one ulp."""
+    n = draw(st.integers(min_rows, max_rows))
+    d = dim if dim is not None else draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, (n, d)).astype(dtype)
+    else:
+        x = rng.standard_normal((n, d)).astype(dtype)
+    copies = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    x[copies] = x[rng.integers(0, n, int(copies.sum()))]
+    nudged = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    toward = np.where(rng.random((int(nudged.sum()), d)) < 0.5, -np.inf, np.inf).astype(dtype)
+    x[nudged] = np.where(x[nudged] != 0, np.nextafter(x[nudged], toward), x[nudged])
+    x[~x.any(axis=1), 0] = 1  # keep every row normalizable
+    return x
+
+
+def shuffled_ids(n, seed, prefix="c"):
+    """Unique ids whose ascending order is not the row order."""
+    return tuple(f"{prefix}{p:03d}" for p in np.random.default_rng(seed).permutation(n))
+
+
+def oracle_topk(idx, q, k):
+    nq = l2_normalize_rows(np.asarray(q, np.float64)[None, :])
+    scores = np.clip(row_dots(nq, idx.vectors)[0], -1.0, 1.0)
+    return topk_full_sort(idx.ids, scores, k)
+
+
+def oracle_recall(yq, yc, ids, ks):
+    scores = np.clip(row_dots(l2_normalize_rows(yq), l2_normalize_rows(yc)), -1.0, 1.0)
+    n = len(ids)
+    ranks = [
+        sorted(range(n), key=lambda j: (-scores[i, j], ids[j])).index(i) + 1 for i in range(n)
+    ]
+    return {k: sum(r <= k for r in ranks) / n for k in ks}
+
+
+@st.composite
+def index_and_queries(draw):
+    cands = draw(near_tie_rows(np.float32))
+    d = cands.shape[1]
+    own = draw(near_tie_rows(np.float64, max_rows=8, dim=d))
+    # some queries repeat candidate rows, so top scores tie at 1
+    queries = np.concatenate([own, cands[: draw(st.integers(0, 4))].astype(np.float64)])
+    ids = shuffled_ids(cands.shape[0], draw(st.integers(0, 1000)))
+    k = draw(st.integers(1, cands.shape[0] + 3))
+    return build_index(EmbeddingMatrix(ids=ids, data=cands)), queries, k
+
+
+class TestTopk:
+    @settings(max_examples=150, deadline=None)
+    @given(index_and_queries())
+    def test_single_and_batched_match_full_sort_oracle(self, case):
+        idx, queries, k = case
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        batched = retrieve_topk_batch(idx, queries, k, qids)
+        for q, qid, result in zip(queries, qids, batched):
+            want = oracle_topk(idx, q, k)
+            assert list(retrieve_topk(idx, q, k, query_id=qid).items) == want
+            assert result.query_id == qid and list(result.items) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(index_and_queries())
+    def test_one_query_row_per_block(self, case):
+        idx, queries, k = case
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(retrieval, "_BLOCK_SCORES", 1)
+            batched = retrieve_topk_batch(idx, queries, k, qids)
+        assert [list(r.items) for r in batched] == [oracle_topk(idx, q, k) for q in queries]
+
+    def test_k_at_and_beyond_count_return_everything(self):
+        rng = np.random.default_rng(9)
+        data = rng.integers(-1, 2, (12, 4)).astype(np.float32)
+        data[~data.any(axis=1), 0] = 1
+        data[5] = data[2]
+        idx = build_index(EmbeddingMatrix(ids=shuffled_ids(12, 1), data=data))
+        for k in (12, 13, 100):
+            got = list(retrieve_topk(idx, data[2], k).items)
+            assert got == oracle_topk(idx, data[2], k) and len(got) == 12
+
+    def test_batch_validates_inputs(self):
+        idx = build_index(EmbeddingMatrix(ids=("a", "b"), data=np.eye(2)))
+        with pytest.raises(ValueError):
+            retrieve_topk_batch(idx, np.eye(2), 0, ("x", "y"))
+        with pytest.raises(ValueError):
+            retrieve_topk_batch(idx, np.eye(2), 1, ("x",))
+        assert retrieve_topk_batch(idx, np.zeros((0, 2)), 1, ()) == []
+
+
+@st.composite
+def paired_projections(draw):
+    yq = draw(near_tie_rows(np.float64, min_rows=2, max_rows=25))
+    n, d = yq.shape
+    yc = draw(near_tie_rows(np.float64, min_rows=n, max_rows=n, dim=d))
+    # candidates that repeat or nudge their own query tie with the true match
+    same = np.random.default_rng(draw(st.integers(0, 1000))).random(n) < 0.3
+    yc[same] = np.nextafter(yq[same], np.inf) if draw(st.booleans()) else yq[same]
+    yc[~yc.any(axis=1), 0] = 1.0
+    return yq, yc, shuffled_ids(n, draw(st.integers(0, 1000)), prefix="p")
+
+
+class TestRecall:
+    @settings(max_examples=150, deadline=None)
+    @given(paired_projections(), st.booleans())
+    def test_matches_full_sort_oracle(self, case, one_row_blocks):
+        yq, yc, ids = case
+        ks = sorted({1, 2, 5, len(ids), len(ids) + 2})
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_blocks:
+                mp.setattr(retrieval, "_BLOCK_SCORES", 1)
+            got = recall_from_projections(yq, yc, ids, ks, DIRECTION_V2A)
+        assert got.recall == oracle_recall(yq, yc, ids, ks)
+
+    def test_duplicate_ids_never_outrank_each_other(self):
+        # equal ids and equal scores: neither copy counts as better
+        y = np.ones((3, 4))
+        got = recall_from_projections(y, y, ("a", "a", "b"), [1, 2, 3], DIRECTION_V2A)
+        assert got.recall == {1: 2 / 3, 2: 2 / 3, 3: 1.0}
+
+
+class TestPairDots:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda d: st.tuples(near_tie_rows(np.float64, max_rows=20, dim=d),
+                            near_tie_rows(np.float64, max_rows=20, dim=d))
+    ))
+    def test_bit_equal_to_row_dots(self, case):
+        u, v = (l2_normalize_rows(x) for x in case)
+        rows, cols = np.nonzero(np.ones((len(u), len(v)), bool))
+        assert np.array_equal(pair_dots(u, v, rows, cols), row_dots(u, v)[rows, cols])
+
+    def test_chunked_pairs_keep_their_bits(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        u, v = rng.standard_normal((9, 300)), rng.standard_normal((6, 300))
+        rows, cols = rng.integers(0, 9, 50), rng.integers(0, 6, 50)
+        whole = pair_dots(u, v, rows, cols)
+        monkeypatch.setattr("avbinder.binder._DOT_CHUNK_ELEMS", 1000)
+        assert np.array_equal(pair_dots(u, v, rows, cols), whole)
+        assert np.array_equal(whole, row_dots(u, v)[rows, cols])
+
+
+class TestCliGolden:
+    def test_retrieve_and_eval_stdout_unchanged(self, tmp_path):
+        # hashes of the stdout these commands printed when every score
+        # went through row_dots and a full sort
+        paths = {name: str(p) for name, p in write_integer_search_fixture(tmp_path).items()}
+        for argv, want in INTEGER_FIXTURE_GOLDEN:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_cli([a.format(**paths) for a in argv])
+            assert code == 0
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, argv
