@@ -143,7 +143,7 @@ def otsu_threshold(img: np.ndarray) -> int:
 def binarize(img: np.ndarray, threshold: int) -> np.ndarray:
     """pixel > threshold -> 255 else 0."""
     img = _check_gray(img)
-    return np.where(img > threshold, 255, 0).astype(np.uint8)
+    return np.where(img > threshold, np.uint8(255), np.uint8(0))
 
 
 def sobel_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,15 +233,16 @@ def extract_edge_candidates(
     the outer ``search_fraction`` of each dimension is searched. Outer and
     inner strip means come from the original image, on the band between the
     line and the nearer frame edge and on a same-thickness band just inside.
+    The means read the 8-bit image directly: its integer partial sums are
+    exact in float64, so no summation order can change them.
     """
     img = _check_gray(img)
     if gx.shape != img.shape or gy.shape != img.shape:
         raise ValueError("gradient maps must match the image shape")
-    row_frac = (np.abs(gy.astype(np.int32)) >= mag_threshold).mean(axis=1)
-    col_frac = (np.abs(gx.astype(np.int32)) >= mag_threshold).mean(axis=0)
-    pixels = img.astype(np.float64)
-    cands = _axis_candidates(row_frac, pixels, HORIZONTAL, frac_threshold, search_fraction)
-    cands += _axis_candidates(col_frac, pixels.T, VERTICAL, frac_threshold, search_fraction)
+    row_frac = (np.abs(gy) >= mag_threshold).mean(axis=1)
+    col_frac = (np.abs(gx) >= mag_threshold).mean(axis=0)
+    cands = _axis_candidates(row_frac, img, HORIZONTAL, frac_threshold, search_fraction)
+    cands += _axis_candidates(col_frac, img.T, VERTICAL, frac_threshold, search_fraction)
     return cands
 
 
@@ -280,7 +281,6 @@ def fold_filter(
     brighter than the border (so solid-color frames produce nothing)."""
     img = _check_gray(img)
     height, width = img.shape
-    pixels = img.astype(np.float64)
 
     kept: list[EdgeCandidate] = []
     for cand in cands:
@@ -291,7 +291,7 @@ def fold_filter(
         side = _side_of(cand, height, width)
         extent = height if cand.orientation == HORIZONTAL else width
         mirror_line = extent - cand.position
-        mirror_mean = _strip_mean(pixels, _OPPOSITE[side], mirror_line)
+        mirror_mean = _strip_mean(img, _OPPOSITE[side], mirror_line)
         paired = any(
             other.orientation == cand.orientation
             and _side_of(other, height, width) == _OPPOSITE[side]

@@ -8,6 +8,7 @@ stdout as TSV, diagnostics to stderr. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -60,13 +61,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
     return value
 
 
@@ -85,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-synthetic", help="emit paired synthetic embedding files")
-    p.add_argument("--pairs", type=int, default=2500)
-    p.add_argument("--latent-dim", type=int, default=32)
+    p.add_argument("--pairs", type=_positive_int, default=2500)
+    p.add_argument("--latent-dim", type=_positive_int, default=32)
     p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--dim", type=int, default=1024)
+    p.add_argument("--dim", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-video", required=True)
     p.add_argument("--out-audio", required=True)
@@ -98,16 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="loss history TSV path")
-    p.add_argument("--n-val", type=int, default=0, help="pairs to hold out")
+    p.add_argument("--n-val", type=_non_negative_int, default=0, help="pairs to hold out")
     p.add_argument("--val-video-out", help="where to write the held-out video side")
     p.add_argument("--val-audio-out", help="where to write the held-out audio side")
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--tau", type=float, default=0.07)
+    p.add_argument("--batch", type=_int_at_least(2), default=128)
+    p.add_argument("--epochs", type=_positive_int, default=50)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
+    p.add_argument("--tau", type=_positive_float, default=0.07)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-shuffle", action="store_true")
-    p.add_argument("--eval-every", type=int, default=0, help="epochs between held-out evals")
+    p.add_argument("--eval-every", type=_non_negative_int, default=0, help="epochs between held-out evals")
     p.add_argument("--k", type=_parse_k_list, default=[1, 5, 10])
 
     p = sub.add_parser("eval", help="print a Recall@K table for a checkpoint")

@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from helpers import make_clip, otsu_exhaustive, sobel_naive, uniform_histogram_frame
+from helpers import (
+    make_bordered_frame,
+    make_clip,
+    otsu_exhaustive,
+    sobel_naive,
+    uniform_histogram_frame,
+)
 
 from avbinder.borders import (
     BorderParams,
@@ -94,12 +102,20 @@ class TestSobel:
 
     def test_matches_naive_correlation_exactly(self):
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            img = rng.integers(0, 256, (9, 9)).astype(np.uint8)
+        shapes = [(9, 9)] * 10 + [(3, 3), (3, 17), (17, 3), (3, 40), (40, 3), (5, 23), (31, 8)]
+        lo = hi = 0
+        for i, shape in enumerate(shapes * 2):
+            img = rng.integers(0, 256, shape).astype(np.uint8)
+            if i >= len(shapes):  # binarized frames, where responses reach +-1020
+                img = np.where(rng.random(shape) < 0.5, 255, 0).astype(np.uint8)
+                img[:, : shape[1] // 2] = 0
+                img[: shape[0] // 2, :] = 255
             gx, gy = sobel_edges(img)
             ex, ey = sobel_naive(img)
             assert np.array_equal(gx.astype(np.int64), ex)
             assert np.array_equal(gy.astype(np.int64), ey)
+            lo, hi = min(lo, ex.min(), ey.min()), max(hi, ex.max(), ey.max())
+        assert (lo, hi) == (-1020, 1020)
 
     def test_small_images_rejected(self):
         with pytest.raises(ValueError, match="too small"):
@@ -311,3 +327,101 @@ class TestGrayConversion:
     def test_gray_passthrough(self):
         img = np.arange(9, dtype=np.uint8).reshape(3, 3)
         assert np.array_equal(rgb_to_gray(img), img)
+
+
+def _golden_clips():
+    """Seeded clips for the stage hashes: small letterbox, pillarbox,
+    windowbox and borderless layouts over smooth, noisy and flat content,
+    gray and RGB, plus one 1080p letterbox and one 1080p pillarbox."""
+    rng = np.random.default_rng(2024)
+    clips = []
+    for i in range(24):
+        height, width = int(rng.integers(12, 97)), int(rng.integers(12, 129))
+        layout = ("letterbox", "pillarbox", "windowbox", "none")[i % 4]
+        top = bottom = left = right = 0
+        if layout in ("letterbox", "windowbox"):
+            top, bottom = (int(b) for b in rng.integers(1, height // 4 + 1, 2))
+        if layout in ("pillarbox", "windowbox"):
+            left, right = (int(b) for b in rng.integers(1, width // 4 + 1, 2))
+        rgb = i % 3 == 0
+        frames = []
+        for f in range(3):
+            shape = (height, width, 3) if rgb else (height, width)
+            texture = (i + f) % 3
+            if texture == 0:
+                yy, xx = np.mgrid[0:height, 0:width]
+                wave = 140 + 60 * np.sin(xx / 7.0 + f) * np.cos(yy / 5.0 - f)
+                body = np.broadcast_to(wave[..., None] if rgb else wave, shape)
+            elif texture == 1:
+                body = rng.integers(30, 256, shape)
+            else:
+                body = np.full(shape, int(rng.integers(60, 200)))
+            img = np.asarray(body).astype(np.uint8)
+            img[:top] = rng.integers(0, 4)
+            img[height - bottom :] = 0
+            img[:, :left] = 0
+            img[:, width - right :] = rng.integers(0, 4)
+            frames.append(img)
+        clips.append(frames)
+    letterbox = [make_bordered_frame(0.4 * f, 1080, 1920, (140, 140, 0, 0)) for f in range(2)]
+    pillarbox = [
+        np.stack(
+            [make_bordered_frame(0.4 * f + c, 1080, 1920, (0, 0, 240, 240)) for c in range(3)],
+            axis=-1,
+        )
+        for f in range(2)
+    ]
+    return clips + [letterbox, pillarbox]
+
+
+def _stage_hashes():
+    def update(h, *parts):
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                h.update(f"{part.dtype}{part.shape}".encode())
+                h.update(np.ascontiguousarray(part).tobytes())
+            elif isinstance(part, float):
+                h.update(part.hex().encode())
+            elif isinstance(part, EdgeCandidate):
+                update(h, part.orientation, part.position, part.edge_fraction,
+                       part.outer_mean, part.inner_mean)
+            else:
+                h.update(repr(part).encode())
+            h.update(b"|")
+
+    stages = ("histogram_std", "otsu_threshold", "binarize", "sobel_edges",
+              "extract_edge_candidates", "fold_filter", "detect_crop_rect")
+    hashes = {name: hashlib.sha256() for name in stages}
+    for frames in _golden_clips():
+        for frame in frames:
+            gray = rgb_to_gray(frame)
+            t = otsu_threshold(gray)
+            binary = binarize(gray, t)
+            gx, gy = sobel_edges(binary)
+            cands = extract_edge_candidates(gx, gy, gray)
+            update(hashes["histogram_std"], histogram_std(gray))
+            update(hashes["otsu_threshold"], t)
+            update(hashes["binarize"], binary)
+            update(hashes["sobel_edges"], gx, gy)
+            update(hashes["extract_edge_candidates"], len(cands), *cands)
+            kept = fold_filter(cands, gray)
+            update(hashes["fold_filter"], len(kept), *kept)
+        update(hashes["detect_crop_rect"], detect_crop_rect(frames))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+# sha256 of every stage's output over _golden_clips(), taken from the
+# detector before its kernels moved to one int16/uint8 path
+BORDER_STAGE_GOLDEN = {
+    "histogram_std": "10d7cc535952e76bddc111fc6dff0be46bedcc1ec6769603f15aa747c5585334",
+    "otsu_threshold": "fff10e15cb86ba550b484fd31004390d8ed8383f987e23646d1a842c235306e0",
+    "binarize": "e76d81fd02a98b8f02e8768c8759964b0ed97c69936df94027aae04eb7cb5b6d",
+    "sobel_edges": "ea3a31518ffab653cf713880394827a6d29a24ce5651f4ce51674fa6d2eb996d",
+    "extract_edge_candidates": "2fa605e18b989185f363032ec2c4490a8218f19b31f62327e41838d2365a3cb1",
+    "fold_filter": "801e06ee1d10743ab223be355187fcfc259894a2af4f7c1d7e9e1251f079ac82",
+    "detect_crop_rect": "aae63a666256824de745b1385ec9dd4ff71f31a0adc7679cf66835ea58195aad",
+}
+
+
+def test_stage_outputs_match_golden_hashes():
+    assert _stage_hashes() == BORDER_STAGE_GOLDEN

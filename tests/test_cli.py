@@ -60,6 +60,30 @@ class TestUsage:
         assert code == 2
         assert "/nonexistent/v.mvbe" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("gen-synthetic", "--pairs", "0"),
+            ("gen-synthetic", "--latent-dim", "0"),
+            ("gen-synthetic", "--dim", "-3"),
+            ("train", "--batch", "1"),
+            ("train", "--epochs", "0"),
+            ("train", "--tau", "-1"),
+            ("train", "--tau", "nan"),
+            ("train", "--lr", "0"),
+            ("train", "--n-val", "-5"),
+            ("train", "--eval-every", "-1"),
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):
+        required = {
+            "gen-synthetic": ["--out-video", "v.mvbe", "--out-audio", "a.mvbe"],
+            "train": ["--video", "v.mvbe", "--audio", "a.mvbe", "--out", "m.mvbm"],
+        }
+        code, out, err = run([command, *required[command], flag, value], capsys)
+        assert code == 1
+        assert out == "" and flag in err and "Traceback" not in err
+
     def test_module_entry_point(self):
         out = subprocess.run(
             [sys.executable, "-m", "avbinder", "--help"], capture_output=True, text=True

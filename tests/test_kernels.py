@@ -1,31 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from avbinder import kernels
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba not active")
-class TestPathEquivalence:
-    """The JIT and numpy paths are bit-identical (integer arithmetic)."""
-
-    def test_sobel_paths_agree(self):
-        rng = np.random.default_rng(0)
-        for shape in [(3, 3), (9, 9), (17, 31), (64, 48)]:
-            img = rng.integers(0, 256, shape).astype(np.int32)
-            jx, jy = kernels._sobel_jit(img)
-            nx, ny = kernels._sobel_numpy(img)
-            assert np.array_equal(jx, nx)
-            assert np.array_equal(jy, ny)
-
-    def test_histogram_paths_agree(self):
-        rng = np.random.default_rng(1)
-        for size in (1, 100, 4096):
-            flat = rng.integers(0, 256, size).astype(np.uint8)
-            assert np.array_equal(kernels._hist256_jit(flat), kernels._hist256_numpy(flat))
 
 
 def test_sobel_output_dtype_and_range():
@@ -42,36 +17,3 @@ def test_hist256_counts_every_pixel():
     counts = kernels.hist256(img)
     assert counts.sum() == img.size
     assert counts[77] == int((img == 77).sum())
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, AVBINDER_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from avbinder import kernels; print(kernels.NUMBA_ENABLED)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
-
-
-def test_numpy_fallback_produces_same_pipeline_result():
-    """detect_crop_rect agrees across kernel paths end to end."""
-    env = dict(os.environ, AVBINDER_NUMBA="0")
-    code = (
-        "import sys; sys.path.insert(0, 'tests');"
-        "from helpers import make_clip;"
-        "from avbinder.borders import detect_crop_rect;"
-        "r = detect_crop_rect(make_clip((20, 20, 20, 20)));"
-        "print(r.left, r.top, r.right, r.bottom)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    )
-    assert out.stdout.split() == ["20", "20", "172", "124"]
