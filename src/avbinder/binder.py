@@ -22,6 +22,7 @@ value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class BindModel:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.video_head.d_out != self.audio_head.d_out:
             raise ValueError("heads must share their output dimension")
 

@@ -88,6 +88,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _float_in(low: float = -math.inf, high: float = math.inf):
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"must be finite and in [{low}, {high}]: {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _float_in()
+
+
 def _parse_k_list(text: str) -> list[int]:
     try:
         ks = [int(part) for part in text.split(",") if part]
@@ -105,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synthetic", help="emit paired synthetic embedding files")
     p.add_argument("--pairs", type=_positive_int, default=2500)
     p.add_argument("--latent-dim", type=_positive_int, default=32)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=_float_in(0.0), default=0.1)
     p.add_argument("--dim", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-video", required=True)
@@ -147,12 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crop", help="detect black borders and crop frames")
     p.add_argument("frames", nargs="+", help="ordered PGM/PPM frame files")
     p.add_argument("--out", help="directory for cropped frames")
-    p.add_argument("--hist-std-threshold", type=float, default=borders.BorderParams.hist_std_threshold)
-    p.add_argument("--edge-magnitude", type=int, default=borders.BorderParams.edge_magnitude)
-    p.add_argument("--edge-fraction", type=float, default=borders.BorderParams.edge_fraction)
-    p.add_argument("--black-threshold", type=float, default=borders.BorderParams.black_threshold)
-    p.add_argument("--contrast-margin", type=float, default=borders.BorderParams.contrast_margin)
-    p.add_argument("--nms-radius", type=int, default=borders.BorderParams.nms_radius)
+    p.add_argument("--hist-std-threshold", type=_finite_float, default=borders.BorderParams.hist_std_threshold)
+    p.add_argument("--edge-magnitude", type=_non_negative_int, default=borders.BorderParams.edge_magnitude)
+    p.add_argument("--edge-fraction", type=_float_in(0.0, 1.0), default=borders.BorderParams.edge_fraction)
+    p.add_argument("--black-threshold", type=_finite_float, default=borders.BorderParams.black_threshold)
+    p.add_argument("--contrast-margin", type=_finite_float, default=borders.BorderParams.contrast_margin)
+    p.add_argument("--nms-radius", type=_non_negative_int, default=borders.BorderParams.nms_radius)
     return parser
 
 

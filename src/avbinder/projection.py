@@ -10,7 +10,10 @@ so evaluation is the identity. The backward pass is exact, including the
 dependence of the batch mean/variance on the inputs.
 
 Parameters are stored in the head's dtype (float32 by default); all forward,
-backward and optimizer arithmetic runs in float64 and is cast back on write.
+backward and optimizer arithmetic runs in float64. A training forward keeps
+the float64 weights and activations that backward needs, so backward casts
+and recomputes nothing. Adam updates each parameter and its moments in
+place, rounding to the stored dtype once, on assignment.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class ProjectionHead:
         # be a pure function of (head, batch) when dropout is off too
         if not 0.0 <= self.bn_momentum < 1.0:
             raise ValueError("bn_momentum must be in [0, 1)")
-        if self.bn_eps <= 0.0:
-            raise ValueError("bn_eps must be positive")
+        if not 0.0 < self.bn_eps < math.inf:
+            raise ValueError("bn_eps must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         for name in (*PARAM_FIELDS, "bn_running_mean", "bn_running_var"):
@@ -93,13 +96,15 @@ class ForwardCache:
     """Everything a training-mode backward pass needs, nothing recomputed."""
 
     x: np.ndarray
-    pre_bn: np.ndarray
     batch_mean: np.ndarray
     batch_var: np.ndarray
     x_hat: np.ndarray
     relu_mask: np.ndarray
     dropout_mask: np.ndarray | None
     dropout_scale: float
+    dropped: np.ndarray  # the activations fed to linear-2
+    gamma: np.ndarray  # float64 bn_gamma as the forward used it
+    w2: np.ndarray  # float64 w2 as the forward used it
     bn_eps: float
 
 
@@ -111,7 +116,6 @@ class HeadGradients:
     bn_beta: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    x: np.ndarray  # gradient with respect to the input batch
 
 
 def init_head(
@@ -172,25 +176,26 @@ def head_forward(
     if not np.isfinite(x).all():
         raise ValueError("non-finite input batch")
 
-    w1 = head.w1.astype(np.float64)
-    w2 = head.w2.astype(np.float64)
-    pre_bn = x @ w1 + head.b1.astype(np.float64)
+    # biases promote exactly against float64 arrays, so they need no cast
+    pre_bn = x @ head.w1.astype(np.float64) + head.b1
 
     if training:
         batch_mean = pre_bn.mean(axis=0)
         batch_var = pre_bn.var(axis=0)  # biased, divisor N
         x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
         mom = head.bn_momentum
+        # cast: a Python float times a float32 array stays float32
         new_mean = (1.0 - mom) * head.bn_running_mean.astype(np.float64) + mom * batch_mean
         new_var = (1.0 - mom) * head.bn_running_var.astype(np.float64) + mom * batch_var
-        head.bn_running_mean[...] = new_mean.astype(head.dtype)
-        head.bn_running_var[...] = new_var.astype(head.dtype)
+        head.bn_running_mean[...] = new_mean
+        head.bn_running_var[...] = new_var
     else:
         batch_mean = head.bn_running_mean.astype(np.float64)
         batch_var = head.bn_running_var.astype(np.float64)
         x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
 
-    z = head.bn_gamma.astype(np.float64) * x_hat + head.bn_beta.astype(np.float64)
+    gamma = head.bn_gamma.astype(np.float64)
+    z = gamma * x_hat + head.bn_beta
     relu_mask = z > 0
     hidden = z * relu_mask
 
@@ -201,18 +206,21 @@ def head_forward(
     else:
         dropped, mask, scale = hidden, None, 1.0
 
-    y = dropped @ w2 + head.b2.astype(np.float64)
+    w2 = head.w2.astype(np.float64)
+    y = dropped @ w2 + head.b2
     if not training:
         return y, None
     cache = ForwardCache(
         x=x,
-        pre_bn=pre_bn,
         batch_mean=batch_mean,
         batch_var=batch_var,
         x_hat=x_hat,
         relu_mask=relu_mask,
         dropout_mask=mask,
         dropout_scale=scale,
+        dropped=dropped,
+        gamma=gamma,
+        w2=w2,
         bn_eps=head.bn_eps,
     )
     return y, cache
@@ -221,27 +229,19 @@ def head_forward(
 def head_backward(
     head: ProjectionHead, cache: ForwardCache, dy: np.ndarray
 ) -> HeadGradients:
-    """Exact gradients of sum(loss) through the whole stack, replaying the
-    dropout mask recorded in the cache."""
+    """Exact gradients of sum(loss) with respect to the head's parameters,
+    replaying the dropout mask recorded in the cache. The input batch gets
+    no gradient: the features it holds are frozen."""
     dy = np.asarray(dy, dtype=np.float64)
-    n, d_hid = cache.x_hat.shape
+    n = cache.x_hat.shape[0]
     if dy.shape != (n, head.d_out):
         raise ValueError(
             f"gradient shape {dy.shape} does not match cache batch ({n}, {head.d_out})"
         )
 
-    gamma = head.bn_gamma.astype(np.float64)
-    # Recompute the cheap elementwise activations from the cache.
-    z = gamma * cache.x_hat + head.bn_beta.astype(np.float64)
-    hidden = z * cache.relu_mask
-    if cache.dropout_mask is not None:
-        dropped = hidden * cache.dropout_mask * cache.dropout_scale
-    else:
-        dropped = hidden
-
     db2 = dy.sum(axis=0)
-    dw2 = dropped.T @ dy
-    d_dropped = dy @ head.w2.astype(np.float64).T
+    dw2 = cache.dropped.T @ dy
+    d_dropped = dy @ cache.w2.T
 
     if cache.dropout_mask is not None:
         d_hidden = d_dropped * cache.dropout_mask * cache.dropout_scale
@@ -253,7 +253,7 @@ def head_backward(
     dbeta = dz.sum(axis=0)
 
     # Batch-norm backward through the batch statistics.
-    dx_hat = dz * gamma
+    dx_hat = dz * cache.gamma
     inv_std = 1.0 / np.sqrt(cache.batch_var + cache.bn_eps)
     d_pre = (inv_std / n) * (
         n * dx_hat
@@ -263,8 +263,7 @@ def head_backward(
 
     db1 = d_pre.sum(axis=0)
     dw1 = cache.x.T @ d_pre
-    dx = d_pre @ head.w1.astype(np.float64).T
-    return HeadGradients(w1=dw1, b1=db1, bn_gamma=dgamma, bn_beta=dbeta, w2=dw2, b2=db2, x=dx)
+    return HeadGradients(w1=dw1, b1=db1, bn_gamma=dgamma, bn_beta=dbeta, w2=dw2, b2=db2)
 
 
 @dataclass
@@ -293,18 +292,29 @@ def adam_step(
     beta1: float = ADAM_BETA1,
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Adam update in float64; returns (param, m, v) as float64 arrays.
+) -> None:
+    """One Adam update of ``param``, ``m`` and ``v``, in place.
 
-    ``t`` is the 1-based step the update belongs to.
+    ``t`` is the 1-based step the update belongs to. The arithmetic runs in
+    float64 on the unrounded moments; each array rounds to its own dtype
+    once, when the result is assigned to it.
     """
     g = np.asarray(grad, dtype=np.float64)
-    m = beta1 * np.asarray(m, dtype=np.float64) + (1.0 - beta1) * g
-    v = beta2 * np.asarray(v, dtype=np.float64) + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    param = np.asarray(param, dtype=np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return param, m, v
+    m_new = np.multiply(m, beta1, dtype=np.float64)
+    m_new += (1.0 - beta1) * g
+    v_new = np.multiply(v, beta2, dtype=np.float64)
+    v_new += (1.0 - beta2) * g * g
+    m[...] = m_new
+    v[...] = v_new
+    # the two buffers become lr * m_hat and sqrt(v_hat) + eps, then the step
+    m_new /= 1.0 - beta1**t
+    m_new *= lr
+    v_new /= 1.0 - beta2**t
+    np.sqrt(v_new, out=v_new)
+    v_new += eps
+    m_new /= v_new
+    np.subtract(param, m_new, out=m_new)
+    param[...] = m_new
 
 
 def apply_update(
@@ -313,15 +323,11 @@ def apply_update(
     """Adam-update every parameter in place; running stats are untouched."""
     opt_state.t += 1
     for name in PARAM_FIELDS:
-        param = getattr(head, name)
-        new_p, new_m, new_v = adam_step(
-            param,
+        adam_step(
+            getattr(head, name),
             getattr(grads, name),
             opt_state.m[name],
             opt_state.v[name],
             opt_state.t,
             lr,
         )
-        param[...] = new_p.astype(head.dtype)
-        opt_state.m[name][...] = new_m.astype(opt_state.m[name].dtype)
-        opt_state.v[name][...] = new_v.astype(opt_state.v[name].dtype)

@@ -30,6 +30,7 @@ the final checkpoint bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -79,10 +80,10 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.eval_every < 0:
             raise ValueError("eval_every must be non-negative")
 

@@ -217,6 +217,12 @@ class TestBindModel:
         with pytest.raises(ValueError):
             BindModel(video_head=heads[0], audio_head=heads[1], temperature=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_temperature_must_be_finite(self, tau):
+        heads = [init_head(i, 8, 6, 4) for i in (0, 1)]
+        with pytest.raises(ValueError):
+            BindModel(video_head=heads[0], audio_head=heads[1], temperature=tau)
+
     def test_heads_must_share_output_dim(self):
         with pytest.raises(ValueError):
             BindModel(

@@ -73,12 +73,22 @@ class TestUsage:
             ("train", "--lr", "0"),
             ("train", "--n-val", "-5"),
             ("train", "--eval-every", "-1"),
+            ("gen-synthetic", "--noise", "-1"),
+            ("gen-synthetic", "--noise", "nan"),
+            ("crop", "--edge-fraction", "nan"),
+            ("crop", "--edge-fraction", "1.5"),
+            ("crop", "--edge-magnitude", "-5"),
+            ("crop", "--nms-radius", "-1"),
+            ("crop", "--hist-std-threshold", "nan"),
+            ("crop", "--black-threshold", "inf"),
+            ("crop", "--contrast-margin", "inf"),
         ],
     )
     def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):
         required = {
             "gen-synthetic": ["--out-video", "v.mvbe", "--out-audio", "a.mvbe"],
             "train": ["--video", "v.mvbe", "--audio", "a.mvbe", "--out", "m.mvbm"],
+            "crop": ["f.pgm"],
         }
         code, out, err = run([command, *required[command], flag, value], capsys)
         assert code == 1
@@ -253,6 +263,28 @@ class TestChain:
         )
         assert code == 2
         assert "metadata" in err
+
+    @pytest.mark.parametrize("value", [b"NaN", b"Infinity"])
+    def test_eval_rejects_non_finite_hyperparameter(self, workspace, tmp_path, capsys, value):
+        # Python's JSON reader takes NaN and Infinity; bn_eps = NaN once made
+        # every Recall@K read 100.0 with exit 0
+        blob = workspace["ckpt"].read_bytes()
+        start = blob.rindex(b'{"audio_head"')
+        meta = blob[start:].replace(b'"bn_eps":1e-05', b'"bn_eps":' + value, 1)
+        assert meta != blob[start:]
+        ckpt = tmp_path / "nan_meta.mvbm"
+        ckpt.write_bytes(blob[: start - 4] + struct.pack("<I", len(meta)) + meta)
+        code, out, err = run(
+            [
+                "eval",
+                "--checkpoint", str(ckpt),
+                "--video", str(workspace["val_v"]),
+                "--audio", str(workspace["val_a"]),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "bn_eps" in err
 
 
 class TestReproducibility:

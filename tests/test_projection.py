@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,11 @@ class TestInit:
         # uniform(-a, a): var a^2/3, so the mean of n draws has sd a/sqrt(3n)
         three_sigma = 3.0 * bound / math.sqrt(3.0 * w.size)
         assert abs(w.mean()) <= three_sigma
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf])
+    def test_bn_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="bn_eps"):
+            dataclasses.replace(init_head(3, 8, 4, 2), bn_eps=eps)
 
     def test_zero_and_one_initial_state(self):
         h = init_head(3, 8, 4, 2)
@@ -191,33 +197,12 @@ class TestBackward:
                 fd = fd_gradient(head, name, x, r, 77, step=1e-5)
                 assert block_rel_error(getattr(grads, name), fd) < 1e-4, (name, seed)
 
-    def test_input_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        head = init_head(11, 16, 8, 4, dtype=np.float64)
-        x = rng.standard_normal((5, 16))
-        r = rng.standard_normal((5, 4))
-        _, cache = head_forward(head.copy(), x, training=True, rng=np.random.default_rng(77))
-        grads = head_backward(head, cache, r)
-        step = 1e-5
-        fd = np.zeros_like(x)
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                xp = x.copy()
-                xp[i, j] += step
-                xm = x.copy()
-                xm[i, j] -= step
-                fd[i, j] = (
-                    sum_product_loss(head.copy(), xp, r, 77)
-                    - sum_product_loss(head.copy(), xm, r, 77)
-                ) / (2 * step)
-        assert block_rel_error(grads.x, fd) < 1e-4
-
     def test_zero_upstream_gradient_gives_zero_gradients(self):
         head = init_head(3, 16, 8, 4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((5, 16))
         _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(1))
         grads = head_backward(head, cache, np.zeros((5, 4)))
-        for name in (*PARAM_FIELDS, "x"):
+        for name in PARAM_FIELDS:
             assert not getattr(grads, name).any()
 
     def test_backward_replays_cached_mask(self):
@@ -253,7 +238,8 @@ class TestAdam:
 
     def test_first_step_moves_by_learning_rate(self):
         # fresh state, w=1, g=1: bias correction makes the step ~= lr
-        p, m, v = adam_step(np.array([1.0]), np.array([1.0]), np.zeros(1), np.zeros(1), t=1, lr=0.1)
+        p, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+        adam_step(p, np.array([1.0]), m, v, t=1, lr=0.1)
         assert abs(p[0] - 0.9) < 1e-8
         assert m[0] == pytest.approx(0.1)
         assert v[0] == pytest.approx(0.001)

@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import reference_train_step
+
 from avbinder.binder import BindModel
 from avbinder.errors import (
     BadMagicError,
@@ -57,6 +59,38 @@ class TestTrainStep:
             )
             results.append((loss, head_bytes(model)))
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_formulas_bit_for_bit(self, dtype):
+        # float32 heads pin the rounding of parameters and moments on write;
+        # float64 heads carry every bit of the update, so they pin its
+        # operation order. Both sides run the same GEMMs on the same shapes,
+        # so the bits do not depend on the BLAS build.
+        def build():
+            model = BindModel(
+                video_head=init_head(1, 24, 16, 8, dtype=dtype),
+                audio_head=init_head(2, 20, 16, 8, dtype=dtype),
+                temperature=0.1,
+            )
+            return model, TrainState.for_model(model), np.random.default_rng(7)
+
+        data_rng = np.random.default_rng(3)
+        model, state, rng = build()
+        ref_model, ref_state, ref_rng = build()
+        for _ in range(3):
+            xv = data_rng.standard_normal((12, 24)).astype(np.float32)
+            xa = data_rng.standard_normal((12, 20)).astype(np.float32)
+            loss = train_step(model, xv, xa, state, 1e-2, rng)
+            assert loss.hex() == reference_train_step(ref_model, xv, xa, ref_state, 1e-2, ref_rng).hex()
+        for kind in ("video", "audio"):
+            head, ref_head = getattr(model, f"{kind}_head"), getattr(ref_model, f"{kind}_head")
+            opt, ref_opt = getattr(state, f"{kind}_opt"), getattr(ref_state, f"{kind}_opt")
+            for name in training.HEAD_BLOCKS:
+                assert getattr(head, name).tobytes() == getattr(ref_head, name).tobytes(), name
+            for name in PARAM_FIELDS:
+                assert opt.m[name].tobytes() == ref_opt.m[name].tobytes(), name
+                assert opt.v[name].tobytes() == ref_opt.v[name].tobytes(), name
+            assert opt.t == ref_opt.t == 3
 
     def test_zero_gradients_leave_parameters_unchanged(self, monkeypatch):
         monkeypatch.setattr(
@@ -157,6 +191,12 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=8, epochs=4, seed=0, eval_every=2)
         train(model, data, cfg, eval_fn=lambda m: calls.append(1) or len(calls))
         assert calls == [1, 1]
+
+    @pytest.mark.parametrize("field", ["lr", "temperature"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_non_positive_or_non_finite_rates(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_batch_larger_than_dataset_rejected(self):
         data = gen_synthetic(8, 4, 0.1, seed=2, dim=64)
