@@ -2,7 +2,8 @@
 
 Frames flow through seven stages: (1) frames whose intensity-histogram
 spread is tiny are classified borderless and skipped; otherwise (2) the
-frame is binarized at the Otsu threshold, (3) Sobel gradients of the binary
+frame is binarized at the Otsu threshold of the same histogram (each frame
+is histogrammed once, for both stages), (3) Sobel gradients of the binary
 image are taken, (4) rows/columns whose gradient response is strong across
 most of their length become border-line candidates annotated with strip
 statistics from the original frame, (5) candidates whose outer strip is not
@@ -10,13 +11,14 @@ near-black, has no near-black mirror across the frame center, or does not
 contrast with the interior are dropped, (6) surviving candidate positions
 are unified across frames by non-maximum suppression, and (7) the winning
 lines form the crop rectangle (falling back to the full frame when the
-result would keep less than a quarter of the area).
+result would keep less than ``MIN_AREA_FRACTION`` of the area).
 
 A candidate's ``position`` is the crop line itself: for the top/left side
 the first content row/column, for the bottom/right side the first border
 row/column (i.e. the exclusive bound of the content).
 
 Images are 2-D uint8 arrays; RGB frames are reduced to Rec.601 luma first.
+Every stage takes its thresholds from one ``BorderParams``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .kernels import hist256, sobel_gradients
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 SIDES = ("top", "bottom", "left", "right")
+SEARCH_FRACTION = 0.35  # candidates live in the outer such band of each axis
+MIN_AREA_FRACTION = 0.25  # sanity floor for the cropped area
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,6 @@ class BorderParams:
     black_threshold: float = 16.0  # outer strips at or below this mean are "black"
     contrast_margin: float = 24.0  # required inner-minus-outer mean difference
     nms_radius: int = 4  # clustering / fold-pairing radius in pixels
-    search_fraction: float = 0.35  # candidates live in the outer such band
-    min_area_fraction: float = 0.25  # sanity floor for the cropped area
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,18 @@ class BorderLines:
 
 
 def rgb_to_gray(img: np.ndarray) -> np.ndarray:
-    """Rec.601 luma (0.299, 0.587, 0.114), rounded half-up to uint8."""
+    """Rec.601 luma ``floor(0.299*R + 0.587*G + 0.114*B + 0.5)`` as uint8.
+
+    The sum is formed in float64, where the weights are not exact, so an
+    exact .5 tie may land just below it and round down: (17, 91, 0) has luma
+    58.5 and gives 58. Gray frames pass through; any dtype but uint8 is
+    rejected rather than cast (a [0, 1] float frame would become all zeros).
+    """
     img = np.asarray(img)
+    if img.dtype != np.uint8:
+        raise ValueError(f"expected a uint8 image, got dtype {img.dtype}")
     if img.ndim == 2:
-        return img.astype(np.uint8)
+        return img
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError(f"expected (H, W) or (H, W, 3) image, got {img.shape}")
     luma = img[..., 0] * 0.299 + img[..., 1] * 0.587 + img[..., 2] * 0.114
@@ -99,23 +109,31 @@ def _check_gray(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def histogram_std(img: np.ndarray) -> float:
-    """Population standard deviation of the 256 intensity frequencies."""
-    img = _check_gray(img)
-    freq = hist256(img) / img.size
+def _check_counts(counts: np.ndarray) -> np.ndarray:
+    counts = np.asarray(counts)
+    if counts.shape != (256,) or counts.sum() == 0:
+        raise ValueError(f"expected the 256 counts of a non-empty image, got shape {counts.shape}")
+    return counts
+
+
+def histogram_std(counts: np.ndarray) -> float:
+    """Population standard deviation of the 256 intensity frequencies, from
+    the ``hist256`` counts of the image."""
+    counts = _check_counts(counts)
+    freq = counts / counts.sum()
     return float(np.sqrt(((freq - freq.mean()) ** 2).mean()))
 
 
-def otsu_threshold(img: np.ndarray) -> int:
+def otsu_threshold(counts: np.ndarray) -> int:
     """Threshold maximizing between-class variance w0*w1*(mu0-mu1)^2 with
-    class 0 = pixels <= t; ties resolved to the smallest t.
+    class 0 = pixels <= t; ties resolved to the smallest t. Takes the
+    ``hist256`` counts of the image.
 
     The maximization runs in exact integer arithmetic (the variance is the
     rational (s0*n1 - s1*n0)^2 / (N^2*n0*n1) with integer cumulative pixel
     counts/sums), so no float rounding can flip the argmax.
     """
-    img = _check_gray(img)
-    counts = hist256(img).tolist()
+    counts = _check_counts(counts).tolist()
     weighted = [c * i for i, c in enumerate(counts)]
     total = sum(counts)
     total_sum = sum(weighted)
@@ -166,54 +184,37 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _axis_candidates(
-    fractions: np.ndarray,
-    values: np.ndarray,
-    orientation: str,
-    frac_threshold: float,
-    search_fraction: float,
+    fractions: np.ndarray, values: np.ndarray, orientation: str, frac_threshold: float
 ) -> list[EdgeCandidate]:
     """Candidates along one axis. ``fractions[i]`` is the edge fraction of
-    line i, ``values`` the original image collapsed so that axis 0 matches."""
+    line i, ``values`` the original image collapsed so that axis 0 matches.
+
+    The far side is scanned as the near side of the reversed axis. Strip
+    means are sums of 8-bit integers, exact in float64 in any order, so the
+    reversal changes no bit; each side's runs come out in ascending position.
+    """
     extent = fractions.shape[0]
-    window = int(np.floor(search_fraction * extent))
-    qualifies = fractions >= frac_threshold
+    window = int(np.floor(SEARCH_FRACTION * extent))
     out: list[EdgeCandidate] = []
-
-    near = qualifies.copy()
-    near[window + 1 :] = False
-    for first, last in _runs(near):
-        line = last  # content-side end of the response run
-        if line < 1:
-            continue
-        outer = values[:line]
-        inner = values[line : min(2 * line, extent)]
-        out.append(
-            EdgeCandidate(
-                orientation=orientation,
-                position=line,
-                edge_fraction=float(fractions[first : last + 1].max()),
-                outer_mean=float(outer.mean()),
-                inner_mean=float(inner.mean()) if inner.size else float(outer.mean()),
+    for step in (1, -1):
+        fracs, vals = fractions[::step], values[::step]
+        side: list[EdgeCandidate] = []
+        for first, last in _runs(fracs[: window + 1] >= frac_threshold):
+            line = last  # content-side end of the response run
+            if line < 1:
+                continue
+            outer = vals[:line]
+            inner = vals[line : min(2 * line, extent)]
+            side.append(
+                EdgeCandidate(
+                    orientation=orientation,
+                    position=line if step == 1 else extent - line,
+                    edge_fraction=float(fracs[first : last + 1].max()),
+                    outer_mean=float(outer.mean()),
+                    inner_mean=float(inner.mean()) if inner.size else float(outer.mean()),
+                )
             )
-        )
-
-    far = qualifies.copy()
-    far[: extent - 1 - window] = False
-    for first, last in _runs(far):
-        line = first + 1  # first border row/column past the content
-        if line > extent - 1:
-            continue
-        outer = values[line:]
-        inner = values[max(2 * line - extent, 0) : line]
-        out.append(
-            EdgeCandidate(
-                orientation=orientation,
-                position=line,
-                edge_fraction=float(fractions[first : last + 1].max()),
-                outer_mean=float(outer.mean()),
-                inner_mean=float(inner.mean()) if inner.size else float(outer.mean()),
-            )
-        )
+        out += side[::step]
     return out
 
 
@@ -221,28 +222,27 @@ def extract_edge_candidates(
     gx: np.ndarray,
     gy: np.ndarray,
     img: np.ndarray,
-    mag_threshold: float = BorderParams.edge_magnitude,
-    frac_threshold: float = BorderParams.edge_fraction,
-    search_fraction: float = BorderParams.search_fraction,
+    params: BorderParams = BorderParams(),
 ) -> list[EdgeCandidate]:
     """Rows/columns of strong gradient response, with strip statistics.
 
-    A row qualifies when at least ``frac_threshold`` of its pixels have
-    |Gy| >= ``mag_threshold`` (columns use |Gx|); consecutive qualifying
-    lines collapse into one candidate at the content-side boundary. Only
-    the outer ``search_fraction`` of each dimension is searched. Outer and
-    inner strip means come from the original image, on the band between the
-    line and the nearer frame edge and on a same-thickness band just inside.
+    A row qualifies when at least ``params.edge_fraction`` of its pixels
+    have |Gy| >= ``params.edge_magnitude`` (columns use |Gx|); consecutive
+    qualifying lines collapse into one candidate at the content-side
+    boundary. Only the outer ``SEARCH_FRACTION`` of each dimension is
+    searched. Outer and inner strip means come from the original image, on
+    the band between the line and the nearer frame edge and on a
+    same-thickness band just inside.
     The means read the 8-bit image directly: its integer partial sums are
     exact in float64, so no summation order can change them.
     """
     img = _check_gray(img)
     if gx.shape != img.shape or gy.shape != img.shape:
         raise ValueError("gradient maps must match the image shape")
-    row_frac = (np.abs(gy) >= mag_threshold).mean(axis=1)
-    col_frac = (np.abs(gx) >= mag_threshold).mean(axis=0)
-    cands = _axis_candidates(row_frac, img, HORIZONTAL, frac_threshold, search_fraction)
-    cands += _axis_candidates(col_frac, img.T, VERTICAL, frac_threshold, search_fraction)
+    row_frac = (np.abs(gy) >= params.edge_magnitude).mean(axis=1)
+    col_frac = (np.abs(gx) >= params.edge_magnitude).mean(axis=0)
+    cands = _axis_candidates(row_frac, img, HORIZONTAL, params.edge_fraction)
+    cands += _axis_candidates(col_frac, img.T, VERTICAL, params.edge_fraction)
     return cands
 
 
@@ -271,22 +271,21 @@ _OPPOSITE = {"top": "bottom", "bottom": "top", "left": "right", "right": "left"}
 def fold_filter(
     cands: list[EdgeCandidate],
     img: np.ndarray,
-    black_threshold: float = BorderParams.black_threshold,
-    contrast_margin: float = BorderParams.contrast_margin,
-    pairing_radius: int = BorderParams.nms_radius,
+    params: BorderParams = BorderParams(),
 ) -> list[EdgeCandidate]:
     """Keep a candidate only if its outer strip is near-black, the strip
     mirrored across the frame center is near-black too (or an opposite-side
-    candidate sits within the pairing radius), and the interior is clearly
-    brighter than the border (so solid-color frames produce nothing)."""
+    candidate sits within ``params.nms_radius``), and the interior is
+    clearly brighter than the border (so solid-color frames produce
+    nothing)."""
     img = _check_gray(img)
     height, width = img.shape
 
     kept: list[EdgeCandidate] = []
     for cand in cands:
-        if cand.outer_mean > black_threshold:
+        if cand.outer_mean > params.black_threshold:
             continue
-        if cand.inner_mean - cand.outer_mean < contrast_margin:
+        if cand.inner_mean - cand.outer_mean < params.contrast_margin:
             continue
         side = _side_of(cand, height, width)
         extent = height if cand.orientation == HORIZONTAL else width
@@ -295,10 +294,10 @@ def fold_filter(
         paired = any(
             other.orientation == cand.orientation
             and _side_of(other, height, width) == _OPPOSITE[side]
-            and abs(other.position - mirror_line) <= pairing_radius
+            and abs(other.position - mirror_line) <= params.nms_radius
             for other in cands
         )
-        if mirror_mean <= black_threshold or paired:
+        if mirror_mean <= params.black_threshold or paired:
             kept.append(cand)
     return kept
 
@@ -313,17 +312,24 @@ def _edge_distance(side: str, position: int, height: int, width: int) -> int:
     return width - position
 
 
+def _support(entries: list[tuple[int, EdgeCandidate]]) -> tuple[int, float]:
+    """(distinct supporting frames, mean edge fraction) of some candidates."""
+    return len({f for f, _ in entries}), float(np.mean([c.edge_fraction for _, c in entries]))
+
+
 def nms_unify(
     per_frame: list[list[EdgeCandidate]],
     frame_shape: tuple[int, int],
-    radius: int = BorderParams.nms_radius,
+    params: BorderParams = BorderParams(),
 ) -> BorderLines:
     """Suppress all but the best-supported candidate cluster per side.
 
-    Positions within ``radius`` of each other (single linkage) form one
-    cluster; clusters are scored by how many frames support them, then by
-    mean edge fraction, then by proximity to the frame edge. The winning
-    cluster's most frequent position becomes the side's unified line.
+    Positions within ``params.nms_radius`` of each other (single linkage)
+    form one cluster. A cluster's representative is its position with the
+    most supporting frames, then the highest mean edge fraction, then the
+    nearest to the frame edge; clusters are ranked the same way (with the
+    representative's distance), and the winner's representative becomes
+    the side's unified line.
     """
     height, width = frame_shape
     unified: dict[str, int | None] = {side: None for side in SIDES}
@@ -338,32 +344,20 @@ def nms_unify(
         entries.sort(key=lambda e: e[1].position)
         clusters: list[list[tuple[int, EdgeCandidate]]] = [[entries[0]]]
         for entry in entries[1:]:
-            if entry[1].position - clusters[-1][-1][1].position <= radius:
+            if entry[1].position - clusters[-1][-1][1].position <= params.nms_radius:
                 clusters[-1].append(entry)
             else:
                 clusters.append([entry])
 
-        def cluster_rep(cluster: list[tuple[int, EdgeCandidate]]) -> int:
-            positions: dict[int, list[tuple[int, EdgeCandidate]]] = {}
+        best_score = None
+        for cluster in clusters:
+            at: dict[int, list[tuple[int, EdgeCandidate]]] = {}
             for item in cluster:
-                positions.setdefault(item[1].position, []).append(item)
-            return max(
-                positions,
-                key=lambda p: (
-                    len({f for f, _ in positions[p]}),
-                    float(np.mean([c.edge_fraction for _, c in positions[p]])),
-                    -_edge_distance(side, p, height, width),
-                ),
-            )
-
-        def cluster_score(cluster: list[tuple[int, EdgeCandidate]]):
-            frames = len({f for f, _ in cluster})
-            mean_frac = float(np.mean([c.edge_fraction for _, c in cluster]))
-            rep = cluster_rep(cluster)
-            return (frames, mean_frac, -_edge_distance(side, rep, height, width))
-
-        best = max(clusters, key=cluster_score)
-        unified[side] = cluster_rep(best)
+                at.setdefault(item[1].position, []).append(item)
+            rep = max(at, key=lambda p: (*_support(at[p]), -_edge_distance(side, p, height, width)))
+            score = (*_support(cluster), -_edge_distance(side, rep, height, width))
+            if best_score is None or score > best_score:  # ties keep the first cluster
+                best_score, unified[side] = score, rep
     return BorderLines(**unified)
 
 
@@ -373,7 +367,7 @@ def detect_crop_rect(
     """Run the full pipeline over a clip's frames and return the crop.
 
     Sides with no surviving unified line stay at the frame boundary; a crop
-    that would retain less than ``min_area_fraction`` of the frame (or is
+    that would retain less than ``MIN_AREA_FRACTION`` of the frame (or is
     inconsistent) falls back to the full frame.
     """
     if not frames:
@@ -389,30 +383,16 @@ def detect_crop_rect(
         if height < 3 or width < 3:
             per_frame.append([])
             continue
-        if histogram_std(gray) < params.hist_std_threshold:
+        counts = hist256(gray)  # shared by the gate and Otsu
+        if histogram_std(counts) < params.hist_std_threshold:
             per_frame.append([])  # borderless frame, contributes nothing
             continue
-        binary = binarize(gray, otsu_threshold(gray))
+        binary = binarize(gray, otsu_threshold(counts))
         gx, gy = sobel_edges(binary)
-        cands = extract_edge_candidates(
-            gx,
-            gy,
-            gray,
-            mag_threshold=params.edge_magnitude,
-            frac_threshold=params.edge_fraction,
-            search_fraction=params.search_fraction,
-        )
-        per_frame.append(
-            fold_filter(
-                cands,
-                gray,
-                black_threshold=params.black_threshold,
-                contrast_margin=params.contrast_margin,
-                pairing_radius=params.nms_radius,
-            )
-        )
+        cands = extract_edge_candidates(gx, gy, gray, params)
+        per_frame.append(fold_filter(cands, gray, params))
 
-    lines = nms_unify(per_frame, shape, radius=params.nms_radius)
+    lines = nms_unify(per_frame, shape, params)
     left = lines.left if lines.left is not None else 0
     top = lines.top if lines.top is not None else 0
     right = lines.right if lines.right is not None else width
@@ -421,7 +401,7 @@ def detect_crop_rect(
     full = CropRect(0, 0, width, height)
     if not (left < right and top < bottom):
         return full
-    if (right - left) * (bottom - top) < params.min_area_fraction * width * height:
+    if (right - left) * (bottom - top) < MIN_AREA_FRACTION * width * height:
         return full
     return CropRect(left=left, top=top, right=right, bottom=bottom)
 

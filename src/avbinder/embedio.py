@@ -204,7 +204,10 @@ def _encode_tsv(m: EmbeddingMatrix) -> bytes:
 
 
 def _decode_tsv(blob: bytes, source: str) -> EmbeddingMatrix:
-    text = blob.decode("utf-8")
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{source}: not valid UTF-8 text") from exc
     ids: list[str] = []
     rows: list[list[float]] = []
     dim: int | None = None

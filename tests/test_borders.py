@@ -11,6 +11,7 @@ from helpers import (
     uniform_histogram_frame,
 )
 
+from avbinder import borders
 from avbinder.borders import (
     BorderParams,
     CropRect,
@@ -26,6 +27,7 @@ from avbinder.borders import (
     rgb_to_gray,
     sobel_edges,
 )
+from avbinder.kernels import hist256
 
 
 def black_top_frame(height=100, width=100, band=10, fill=128):
@@ -36,11 +38,11 @@ def black_top_frame(height=100, width=100, band=10, fill=128):
 
 class TestHistogramStd:
     def test_uniform_histogram_is_zero(self):
-        assert histogram_std(uniform_histogram_frame()) == 0.0
+        assert histogram_std(hist256(uniform_histogram_frame())) == 0.0
 
     def test_constant_image_is_maximal(self):
         img = np.full((50, 40), 77, np.uint8)
-        assert histogram_std(img) == pytest.approx(np.sqrt(255.0) / 256.0, rel=1e-12)
+        assert histogram_std(hist256(img)) == pytest.approx(np.sqrt(255.0) / 256.0, rel=1e-12)
 
     def test_two_level_checker_matches_hand_formula(self):
         img = np.zeros((16, 16), np.uint8)
@@ -48,27 +50,29 @@ class TestHistogramStd:
         img[1::2, 1::2] = 200  # exactly half the pixels at 200, half at 0
         mean = 1.0 / 256.0
         var = (2 * (0.5 - mean) ** 2 + 254 * mean**2) / 256.0
-        assert histogram_std(img) == pytest.approx(np.sqrt(var), rel=1e-12)
+        assert histogram_std(hist256(img)) == pytest.approx(np.sqrt(var), rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            histogram_std(np.zeros((0, 4), np.uint8))
+            histogram_std(hist256(np.zeros((0, 4), np.uint8)))
+        with pytest.raises(ValueError):
+            histogram_std(np.ones(255, np.int64))
 
 
 class TestOtsu:
     def test_constant_image_returns_zero(self):
-        assert otsu_threshold(np.full((8, 8), 93, np.uint8)) == 0
+        assert otsu_threshold(hist256(np.full((8, 8), 93, np.uint8))) == 0
 
     def test_balanced_black_white_ties_to_zero(self):
         img = np.zeros((10, 10), np.uint8)
         img[:, 5:] = 255
-        assert otsu_threshold(img) == 0
+        assert otsu_threshold(hist256(img)) == 0
 
     def test_matches_exhaustive_search_on_random_images(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             img = rng.integers(0, 256, (16, 16)).astype(np.uint8)
-            assert otsu_threshold(img) == otsu_exhaustive(img)
+            assert otsu_threshold(hist256(img)) == otsu_exhaustive(img)
 
     def test_bimodal_image_splits_the_gap(self):
         rng = np.random.default_rng(1)
@@ -77,7 +81,7 @@ class TestOtsu:
             rng.integers(0, 30, (32, 32)),
             rng.integers(180, 250, (32, 32)),
         ).astype(np.uint8)
-        t = otsu_threshold(img)
+        t = otsu_threshold(hist256(img))
         assert 29 <= t < 180
 
     def test_binarize_rule(self):
@@ -130,7 +134,7 @@ class TestExtractCandidates:
 
     def test_black_top_band_yields_single_candidate(self):
         img = black_top_frame()
-        binary = binarize(img, otsu_threshold(img))
+        binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, img)
         assert len(cands) == 1
@@ -143,7 +147,7 @@ class TestExtractCandidates:
 
     def test_positions_invariant_under_horizontal_mirror(self):
         img = black_top_frame(band=7, fill=150)
-        binary = binarize(img, otsu_threshold(img))
+        binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         mirrored = np.fliplr(binary).copy()
         mgx, mgy = sobel_edges(mirrored)
@@ -161,7 +165,7 @@ class TestFoldFilter:
         img = np.full((100, 100), 128, np.uint8)
         img[:10] = 0
         img[-10:] = 0
-        binary = binarize(img, otsu_threshold(img))
+        binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, img)
         kept = fold_filter(cands, img)
@@ -183,7 +187,7 @@ class TestFoldFilter:
     def test_one_sided_band_without_mirror_dropped(self):
         img = np.full((100, 100), 128, np.uint8)
         img[:10] = 0  # top band only; the mirrored bottom strip is bright
-        binary = binarize(img, otsu_threshold(img))
+        binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, img)
         assert fold_filter(cands, img) == []
@@ -196,24 +200,24 @@ class TestNms:
             [EdgeCandidate("horizontal", 11, 1.0, 0.0, 128.0)],
             [EdgeCandidate("horizontal", 10, 1.0, 0.0, 128.0)],
         ]
-        lines = nms_unify(per_frame, (100, 100), radius=4)
+        lines = nms_unify(per_frame, (100, 100))
         assert lines.top == 10
         assert lines.bottom is None and lines.left is None and lines.right is None
 
     def test_single_candidate_passes_through(self):
         per_frame = [[EdgeCandidate("vertical", 93, 0.8, 2.0, 120.0)]]
-        lines = nms_unify(per_frame, (100, 100), radius=4)
+        lines = nms_unify(per_frame, (100, 100))
         assert lines.right == 93
 
     def test_empty_input_gives_no_lines(self):
-        lines = nms_unify([[], [], []], (100, 100), radius=4)
+        lines = nms_unify([[], [], []], (100, 100))
         assert lines == type(lines)()
 
     def test_distant_minority_cluster_suppressed(self):
         per_frame = [
             [EdgeCandidate("horizontal", 10, 1.0, 0.0, 128.0)] for _ in range(5)
         ] + [[EdgeCandidate("horizontal", 30, 1.0, 0.0, 128.0)]]
-        lines = nms_unify(per_frame, (100, 100), radius=4)
+        lines = nms_unify(per_frame, (100, 100))
         assert lines.top == 10
 
 
@@ -279,6 +283,19 @@ class TestDetect:
         with pytest.raises(ValueError, match="share dimensions"):
             detect_crop_rect([np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8)])
 
+    def test_one_histogram_per_frame(self, monkeypatch):
+        calls = []
+
+        def counting_hist256(img):
+            calls.append(img.shape)
+            return hist256(img)
+
+        monkeypatch.setattr(borders, "hist256", counting_hist256)
+        frames = make_clip((20, 20, 20, 20), n_frames=3)
+        rect = detect_crop_rect(frames)
+        assert len(calls) == 3  # one shared by the gate and Otsu, per frame
+        assert (rect.top, rect.left) != (0, 0)  # the frames reached the detector
+
 
 class TestApplyCrop:
     def test_full_frame_is_identity(self):
@@ -327,6 +344,22 @@ class TestGrayConversion:
     def test_gray_passthrough(self):
         img = np.arange(9, dtype=np.uint8).reshape(3, 3)
         assert np.array_equal(rgb_to_gray(img), img)
+
+    def test_exact_tie_rounds_as_float64_sum(self):
+        # 0.299*17 + 0.587*91 = 58.5 exactly, but the float64 sum lands below
+        # the tie; an integer (299R + 587G + 114B + 500) // 1000 form gives 59
+        assert rgb_to_gray(np.array([[[17, 91, 0]]], np.uint8)).tolist() == [[58]]
+
+    @pytest.mark.parametrize(
+        "frame",
+        [np.full((8, 8, 3), 0.5), np.full((8, 8), 300, np.uint16)],
+        ids=["float01", "uint16"],  # a cast would give all zeros, or wrap 300 to 44
+    )
+    def test_non_uint8_frames_rejected(self, frame):
+        with pytest.raises(ValueError, match="uint8"):
+            rgb_to_gray(frame)
+        with pytest.raises(ValueError, match="uint8"):
+            detect_crop_rect([frame])
 
 
 def _golden_clips():
@@ -395,11 +428,12 @@ def _stage_hashes():
     for frames in _golden_clips():
         for frame in frames:
             gray = rgb_to_gray(frame)
-            t = otsu_threshold(gray)
+            counts = hist256(gray)
+            t = otsu_threshold(counts)
             binary = binarize(gray, t)
             gx, gy = sobel_edges(binary)
             cands = extract_edge_candidates(gx, gy, gray)
-            update(hashes["histogram_std"], histogram_std(gray))
+            update(hashes["histogram_std"], histogram_std(counts))
             update(hashes["otsu_threshold"], t)
             update(hashes["binarize"], binary)
             update(hashes["sobel_edges"], gx, gy)

@@ -167,6 +167,12 @@ class TestTsvFormat:
         with pytest.raises(NonFiniteValueError):
             load_embeddings(path)
 
+    def test_invalid_utf8_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"a\t1.0\n\xff\t2.0\n")
+        with pytest.raises(DataFormatError, match="m.tsv"):
+            load_embeddings(path)
+
 
 class TestPairing:
     def test_intersection_sorted(self):
