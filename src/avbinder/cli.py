@@ -23,6 +23,7 @@ from .embedio import (
     pair_by_id,
     save_embeddings,
     split_dataset,
+    write_atomic,
 )
 from .errors import DataFormatError, DivergenceError
 from .projection import init_head
@@ -235,9 +236,9 @@ def _cmd_train(args) -> int:
     history = train(model, dataset, cfg, state=state, eval_fn=eval_fn)
     save_checkpoint(model, state, args.out)
     if args.history:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            for step, loss in enumerate(history.losses, start=1):
-                fh.write(f"{step}\t{np.format_float_positional(loss, unique=True)}\n")
+        rows = (f"{step}\t{np.format_float_positional(loss, unique=True)}\n"
+                for step, loss in enumerate(history.losses, start=1))
+        write_atomic(args.history, "".join(rows).encode("utf-8"))
     print(
         f"trained {len(history.losses)} steps on {dataset.count} pairs,"
         f" final loss {history.losses[-1]:.6f}, checkpoint {args.out}",

@@ -1,4 +1,5 @@
-"""Embedding dataset I/O, pairing and splitting.
+"""Embedding dataset I/O, pairing and splitting, and the bounded reader and
+atomic writer that every file format of the package goes through.
 
 Two interchange formats, selected by file extension (``.tsv`` for text,
 anything else is the canonical binary):
@@ -16,14 +17,18 @@ TSV: one row per item, ``id TAB v1 TAB ... TAB v_dim`` terminated by ``\\n``,
 no header. Values are written with the shortest decimal that round-trips to
 the same float32, so text round trips are bit-exact too.
 
-Writers are byte-deterministic: the same matrix always serializes to the
-same bytes.
+Readers check each declared length against the file before allocating, and
+fail with a ``DataFormatError`` naming the file. Writers are atomic and
+byte-deterministic: the same matrix always serializes to the same bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +46,75 @@ from .errors import (
 MAGIC = b"MVBE"
 FORMAT_VERSION = 1
 MAX_ID_BYTES = 0xFFFF  # id length is stored as uint16
+
+
+class BinaryReader:
+    """Little-endian cursor over one file's bytes; every read first checks
+    that the file holds the bytes it asks for."""
+
+    def __init__(self, blob: bytes, source: str) -> None:
+        self.blob = blob
+        self.offset = 0
+        self.source = source
+
+    def expect(self, magic: bytes, version: int) -> None:
+        """Read and check the magic + uint32 version that both binary formats open with."""
+        found, found_version = self.unpack("<4sI")
+        if found != magic:
+            raise BadMagicError(f"{self.source}: bad magic {found!r}")
+        if found_version != version:
+            raise UnsupportedVersionError(f"{self.source}: unsupported version {found_version}")
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.blob[start : self.offset]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next prod(shape) float32 values, copied out of the file once."""
+        count = math.prod(shape)
+        start = self._advance(4 * count)
+        return np.frombuffer(self.blob, "<f4", count, start).reshape(shape).copy()
+
+    def finish(self) -> None:
+        if self.offset != len(self.blob):
+            raise TruncatedPayloadError(f"{self.source}: trailing data after byte {self.offset}")
+
+    def _advance(self, n: int) -> int:
+        start = self.offset
+        if start + n > len(self.blob):
+            raise TruncatedPayloadError(f"{self.source}: truncated, {n} bytes needed at byte {start}")
+        self.offset = start + n
+        return start
+
+
+@contextmanager
+def naming_file(source: str):
+    """Re-raise a validator's ``ValueError`` as a ``DataFormatError`` naming
+    ``source``; a ``DataFormatError`` keeps its subclass."""
+    try:
+        yield
+    except ValueError as exc:
+        kind = type(exc) if isinstance(exc, DataFormatError) else DataFormatError
+        raise kind(f"{source}: {exc}") from exc
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Write ``blob`` to a temporary file beside ``path``, then ``os.replace``
+    it over ``path``: a failed write leaves the old file as it was and no
+    temporary behind. Nothing is fsynced, so this survives a crash of the
+    process, not a power loss."""
+    path = Path(path).resolve()  # a symlinked target is written through, as before
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -83,10 +157,7 @@ class EmbeddingMatrix:
     def take(self, indices) -> "EmbeddingMatrix":
         """New matrix holding the given rows, in the given order."""
         idx = list(indices)
-        return EmbeddingMatrix(
-            ids=tuple(self.ids[i] for i in idx),
-            data=self.data[idx].copy(),
-        )
+        return EmbeddingMatrix(ids=tuple(self.ids[i] for i in idx), data=self.data[idx])
 
 
 @dataclass(frozen=True)
@@ -129,13 +200,6 @@ class SplitSpec:
             raise ValueError("n_val must be non-negative")
 
 
-def _validate_for_save(m: EmbeddingMatrix) -> None:
-    # Matrices are validated on construction, but arrays can be poked at
-    # afterwards; re-check before any bytes hit the disk.
-    if not np.isfinite(m.data).all():
-        raise NonFiniteValueError("non-finite value in embedding matrix")
-
-
 def _encode_binary(m: EmbeddingMatrix) -> bytes:
     parts = [struct.pack("<4sIIQ", MAGIC, FORMAT_VERSION, m.dim, m.count)]
     for item_id in m.ids:
@@ -147,46 +211,22 @@ def _encode_binary(m: EmbeddingMatrix) -> bytes:
 
 
 def _decode_binary(blob: bytes, source: str) -> EmbeddingMatrix:
-    if len(blob) < 20:
-        raise TruncatedPayloadError(f"{source}: header truncated")
-    magic, version, dim, count = struct.unpack_from("<4sIIQ", blob, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"{source}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{source}: unsupported version {version}")
+    reader = BinaryReader(blob, source)
+    reader.expect(MAGIC, FORMAT_VERSION)
+    dim, count = reader.unpack("<IQ")
     if dim < 1:
         raise DataFormatError(f"{source}: dim must be positive")
-    offset = 20
     ids: list[str] = []
     for _ in range(count):
-        if offset + 2 > len(blob):
-            raise TruncatedPayloadError(f"{source}: id table truncated")
-        (id_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if offset + id_len > len(blob):
-            raise TruncatedPayloadError(f"{source}: id table truncated")
+        (id_len,) = reader.unpack("<H")
         try:
-            ids.append(blob[offset : offset + id_len].decode("utf-8"))
+            ids.append(reader.take(id_len).decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
-        offset += id_len
-    want = count * dim * 4
-    got = len(blob) - offset
-    if got < want:
-        raise TruncatedPayloadError(
-            f"{source}: truncated payload, expected {want} data bytes, found {got}"
-        )
-    if got > want:
-        raise TruncatedPayloadError(
-            f"{source}: trailing data, expected {want} data bytes, found {got}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=offset)
-    data = data.reshape(count, dim).copy()
-    if len(set(ids)) != len(ids):
-        raise DuplicateIdError(f"{source}: duplicate id")
-    if not np.isfinite(data).all():
-        raise NonFiniteValueError(f"{source}: non-finite value")
-    return EmbeddingMatrix(ids=tuple(ids), data=data)
+    data = reader.array((count, dim))
+    reader.finish()
+    with naming_file(source):
+        return EmbeddingMatrix(ids=tuple(ids), data=data)
 
 
 def _format_f32(value: np.float32) -> str:
@@ -228,27 +268,25 @@ def _decode_tsv(blob: bytes, source: str) -> EmbeddingMatrix:
             values = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise DataFormatError(f"{source}:{lineno}: unparseable value") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise NonFiniteValueError(f"{source}:{lineno}: non-finite value")
         rows.append(values)
     if dim is None:
         raise DataFormatError(f"{source}: empty TSV file")
-    if len(set(ids)) != len(ids):
-        raise DuplicateIdError(f"{source}: duplicate id")
-    return EmbeddingMatrix(
-        ids=tuple(ids), data=np.array(rows, dtype=np.float32)
-    )
+    with naming_file(source):
+        return EmbeddingMatrix(ids=tuple(ids), data=np.array(rows, dtype=np.float32))
 
 
 def save_embeddings(m: EmbeddingMatrix, path) -> None:
     """Write ``m`` to ``path``; format chosen by extension (.tsv = text)."""
     path = Path(path)
-    _validate_for_save(m)
+    # Matrices are validated on construction, but arrays can be poked at
+    # afterwards; re-check before any bytes hit the disk.
+    if not np.isfinite(m.data).all():
+        raise NonFiniteValueError("non-finite value in embedding matrix")
     if path.suffix == ".tsv":
         blob = _encode_tsv(m)
     else:
         blob = _encode_binary(m)
-    path.write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_embeddings(path) -> EmbeddingMatrix:

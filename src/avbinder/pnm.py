@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embedio import write_atomic
 from .errors import BadMagicError, DataFormatError, TruncatedPayloadError
 
 
@@ -64,7 +65,7 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(path, img: np.ndarray) -> None:
-    """Write uint8 (H, W) as P5 or (H, W, 3) as P6."""
+    """Write uint8 (H, W) as P5 or (H, W, 3) as P6, atomically."""
     img = np.ascontiguousarray(img, dtype=np.uint8)
     if img.ndim == 2:
         magic = b"P5"
@@ -75,4 +76,4 @@ def write_image(path, img: np.ndarray) -> None:
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3) uint8 image, got {img.shape}")
     header = magic + f"\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes())
+    write_atomic(path, header + img.tobytes())

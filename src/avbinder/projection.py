@@ -19,11 +19,15 @@ place, rounding to the stored dtype once, on assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+# The head's arrays in checkpoint order, the trainable subset that Adam
+# updates, and the scalar hyperparameters (their defaults are the fields').
+HEAD_BLOCKS = ("w1", "b1", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var", "w2", "b2")
 PARAM_FIELDS = ("w1", "b1", "bn_gamma", "bn_beta", "w2", "b2")
+HEAD_HYPERPARAMS = ("bn_momentum", "bn_eps", "dropout_p")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,7 +57,7 @@ class ProjectionHead:
             raise ValueError("bn_eps must be positive and finite")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        for name in (*PARAM_FIELDS, "bn_running_mean", "bn_running_var"):
+        for name in HEAD_BLOCKS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite values in {name}")
         if (self.bn_running_var < 0).any():
@@ -76,19 +80,7 @@ class ProjectionHead:
         return self.w1.dtype
 
     def copy(self) -> "ProjectionHead":
-        return ProjectionHead(
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            bn_gamma=self.bn_gamma.copy(),
-            bn_beta=self.bn_beta.copy(),
-            bn_running_mean=self.bn_running_mean.copy(),
-            bn_running_var=self.bn_running_var.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            bn_momentum=self.bn_momentum,
-            bn_eps=self.bn_eps,
-            dropout_p=self.dropout_p,
-        )
+        return replace(self, **{name: getattr(self, name).copy() for name in HEAD_BLOCKS})
 
 
 @dataclass

@@ -23,8 +23,12 @@ Checkpoint format (little-endian)::
     next        uint32 length + canonical-JSON config echo (carries
                 bn_momentum / bn_eps / dropout_p so eval is reproducible)
 
-The writer is byte-deterministic; (seed, config, dataset) fully determine
-the final checkpoint bytes.
+The block order and the hyperparameter names are ``projection.HEAD_BLOCKS``,
+``PARAM_FIELDS`` and ``HEAD_HYPERPARAMS``. The writer is byte-deterministic
+and atomic; (seed, config, dataset) fully determine the final checkpoint
+bytes. The loader reads through ``embedio.BinaryReader``, so every block is
+checked against the file length before it is allocated, and any malformed
+or invalid content is a ``DataFormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -33,21 +37,18 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .binder import BindModel, info_nce_backward, info_nce_loss, l2_normalize_rows, normalize_backward, row_dots
-from .embedio import EmbeddingMatrix, PairedDataset
-from .errors import (
-    BadMagicError,
-    DivergenceError,
-    TruncatedPayloadError,
-    UnsupportedVersionError,
-)
+from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, naming_file, write_atomic
+from .errors import DivergenceError, TruncatedPayloadError
 from .projection import (
+    HEAD_BLOCKS,
+    HEAD_HYPERPARAMS,
     PARAM_FIELDS,
     AdamState,
     HeadGradients,
@@ -60,9 +61,10 @@ from .seeding import spawn_rng
 
 CHECKPOINT_MAGIC = b"MVBM"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER = "<fIIII"  # after magic and version: temperature, four dims
+CHECKPOINT_TRAILER = "<QQI"  # step, seed, metadata length
+HEAD_KEYS = ("video_head", "audio_head")  # metadata keys, video first as in the blocks
 LOSS_CEILING = 1e4
-
-HEAD_BLOCKS = ("w1", "b1", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var", "w2", "b2")
 
 
 @dataclass
@@ -88,15 +90,7 @@ class TrainConfig:
             raise ValueError("eval_every must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "shuffle": self.shuffle,
-            "eval_every": self.eval_every,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -249,137 +243,78 @@ def gen_synthetic(
     )
 
 
-def _head_meta(head: ProjectionHead) -> dict:
-    return {
-        "bn_momentum": head.bn_momentum,
-        "bn_eps": head.bn_eps,
-        "dropout_p": head.dropout_p,
-    }
-
-
 def save_checkpoint(model: BindModel, state: TrainState, path) -> None:
     """Serialize model + optimizer state; byte-deterministic."""
-    for head in (model.video_head, model.audio_head):
-        if head.dtype != np.float32:
-            raise ValueError("checkpoint format stores float32 heads only")
+    heads = (model.video_head, model.audio_head)
+    if any(head.dtype != np.float32 for head in heads):
+        raise ValueError("checkpoint format stores float32 heads only")
     if state.video_opt.t != state.audio_opt.t:
         raise ValueError("optimizer step counters out of sync")
-    meta = {
-        "video_head": _head_meta(model.video_head),
-        "audio_head": _head_meta(model.audio_head),
-        "config": state.config,
-    }
+    meta = {key: {name: getattr(head, name) for name in HEAD_HYPERPARAMS}
+            for key, head in zip(HEAD_KEYS, heads)}
+    meta["config"] = state.config
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
+    video, audio = heads
+    opts = (state.video_opt, state.audio_opt)
+    blocks = [getattr(head, name) for head in heads for name in HEAD_BLOCKS]
+    blocks += [getattr(opt, kind)[name] for kind in ("m", "v") for opt in opts for name in PARAM_FIELDS]
     parts = [
-        struct.pack(
-            "<4sIfIIII",
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION,
-            model.temperature,
-            model.video_head.d_in,
-            model.audio_head.d_in,
-            model.video_head.d_hid,
-            model.video_head.d_out,
-        )
+        struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
+        struct.pack(CHECKPOINT_HEADER, model.temperature, video.d_in, audio.d_in, video.d_hid, video.d_out),
     ]
-    for head in (model.video_head, model.audio_head):
-        for name in HEAD_BLOCKS:
-            parts.append(np.ascontiguousarray(getattr(head, name), dtype="<f4").tobytes())
-    for moments in ("m", "v"):
-        for opt in (state.video_opt, state.audio_opt):
-            for name in PARAM_FIELDS:
-                parts.append(
-                    np.ascontiguousarray(getattr(opt, moments)[name], dtype="<f4").tobytes()
-                )
-    parts.append(struct.pack("<QQ", state.video_opt.t, state.seed))
-    parts.append(struct.pack("<I", len(meta_blob)))
-    parts.append(meta_blob)
-    Path(path).write_bytes(b"".join(parts))
+    parts += [np.ascontiguousarray(block, dtype="<f4").tobytes() for block in blocks]
+    parts += [struct.pack(CHECKPOINT_TRAILER, state.step, state.seed, len(meta_blob)), meta_blob]
+    write_atomic(path, b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, source: str) -> None:
-        self.blob = blob
-        self.offset = 0
-        self.source = source
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise TruncatedPayloadError(f"{self.source}: checkpoint truncated")
-        out = self.blob[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        raw = self.take(n * 4)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
-def _block_shapes(d_in: int, d_hid: int, d_out: int) -> dict[str, tuple[int, ...]]:
-    return {
-        "w1": (d_in, d_hid),
-        "b1": (d_hid,),
-        "bn_gamma": (d_hid,),
-        "bn_beta": (d_hid,),
-        "bn_running_mean": (d_hid,),
-        "bn_running_var": (d_hid,),
-        "w2": (d_hid, d_out),
-        "b2": (d_out,),
-    }
+def _block_shape(name: str, d_in: int, d_hid: int, d_out: int) -> tuple[int, ...]:
+    return {"w1": (d_in, d_hid), "w2": (d_hid, d_out), "b2": (d_out,)}.get(name, (d_hid,))
 
 
 def load_checkpoint(path) -> tuple[BindModel, TrainState]:
     """Inverse of :func:`save_checkpoint`, bit-exact."""
     source = Path(path).name
-    reader = _Reader(Path(path).read_bytes(), source)
-    magic, version, tau, d_in_v, d_in_a, d_hid, d_out = struct.unpack(
-        "<4sIfIIII", reader.take(28)
-    )
-    if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{source}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersionError(f"{source}: unsupported version {version}")
-
-    heads = []
-    for d_in in (d_in_v, d_in_a):
-        shapes = _block_shapes(d_in, d_hid, d_out)
-        heads.append({name: reader.array(shapes[name]) for name in HEAD_BLOCKS})
-    moments = {"m": [], "v": []}
-    for kind in ("m", "v"):
-        for d_in in (d_in_v, d_in_a):
-            shapes = _block_shapes(d_in, d_hid, d_out)
-            moments[kind].append({name: reader.array(shapes[name]) for name in PARAM_FIELDS})
-    step, seed = struct.unpack("<QQ", reader.take(16))
-    (meta_len,) = struct.unpack("<I", reader.take(4))
+    reader = BinaryReader(Path(path).read_bytes(), source)
+    reader.expect(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    tau, d_in_v, d_in_a, d_hid, d_out = reader.unpack(CHECKPOINT_HEADER)
+    heads = [
+        {name: reader.array(_block_shape(name, d_in, d_hid, d_out)) for name in HEAD_BLOCKS}
+        for d_in in (d_in_v, d_in_a)
+    ]
+    # first moments for both heads, then second moments, each block shaped
+    # as the parameter it belongs to
+    m, v = [
+        [{name: reader.array(head[name].shape) for name in PARAM_FIELDS} for head in heads]
+        for _ in ("m", "v")
+    ]
+    step, seed, meta_len = reader.unpack(CHECKPOINT_TRAILER)
     try:
         meta = json.loads(reader.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise TruncatedPayloadError(f"{source}: corrupt checkpoint metadata") from exc
-    if reader.offset != len(reader.blob):
-        raise TruncatedPayloadError(f"{source}: trailing data in checkpoint")
+    reader.finish()
     if not isinstance(meta, dict) or not all(
-        isinstance(meta.get(key, {}), dict) for key in ("video_head", "audio_head", "config")
+        isinstance(meta.get(key, {}), dict) for key in (*HEAD_KEYS, "config")
     ):
         raise TruncatedPayloadError(f"{source}: checkpoint metadata is not a JSON object")
 
-    built_heads = []
-    for blocks, key in zip(heads, ("video_head", "audio_head")):
-        head_meta = meta.get(key, {})
+    hypers = []
+    for key in HEAD_KEYS:
         try:
-            hyper = {
-                name: float(head_meta.get(name, default))
-                for name, default in (("bn_momentum", 0.1), ("bn_eps", 1e-5), ("dropout_p", 0.5))
-            }
-        except (TypeError, ValueError) as exc:
+            hypers.append({
+                name: float(meta.get(key, {}).get(name, getattr(ProjectionHead, name)))
+                for name in HEAD_HYPERPARAMS
+            })
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TruncatedPayloadError(f"{source}: bad {key} metadata") from exc
-        built_heads.append(ProjectionHead(**blocks, **hyper))
-    model = BindModel(video_head=built_heads[0], audio_head=built_heads[1], temperature=tau)
+    with naming_file(source):
+        video_head, audio_head = (ProjectionHead(**b, **h) for b, h in zip(heads, hypers))
+        model = BindModel(video_head=video_head, audio_head=audio_head, temperature=tau)
     state = TrainState(
-        video_opt=AdamState(m=moments["m"][0], v=moments["v"][0], t=int(step)),
-        audio_opt=AdamState(m=moments["m"][1], v=moments["v"][1], t=int(step)),
-        seed=int(seed),
+        video_opt=AdamState(m=m[0], v=v[0], t=step),
+        audio_opt=AdamState(m=m[1], v=v[1], t=step),
+        seed=seed,
         config=meta.get("config", {}),
     )
     return model, state

@@ -1,4 +1,5 @@
-"""Every attribute the benchmark reads from avbinder exists.
+"""Every attribute the benchmark reads from avbinder exists, and the
+benchmark's own file writers and readers agree with avbinder's.
 
 ``perfbench/`` reaches into the package as ``av.<module>.<attr>`` and
 patches call sites with ``tracer.wrap(av.<module>, "<attr>", ...)``, also
@@ -9,6 +10,8 @@ checks each name against the importable modules.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,3 +62,14 @@ def test_package_has_every_attribute_the_benchmark_reads():
         if not hasattr(importlib.import_module(f"avbinder.{module}"), attr)
     )
     assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    # perfbench writes its inputs with its own MVBE/MVBM/PNM writers and
+    # judges avbinder's outputs with its own readers; the self-test checks
+    # both directions byte for byte
+    root = PERFBENCH.parent
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

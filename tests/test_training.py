@@ -8,6 +8,7 @@ from helpers import reference_train_step
 from avbinder.binder import BindModel
 from avbinder.errors import (
     BadMagicError,
+    DataFormatError,
     DivergenceError,
     TruncatedPayloadError,
     UnsupportedVersionError,
@@ -307,6 +308,25 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_bytes(blob[:-5])
         with pytest.raises(TruncatedPayloadError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("bn_running_var", -1.0), ("w1", float("nan")), ("temperature", float("nan"))],
+    )
+    def test_invalid_model_values_are_a_data_error_naming_the_file(self, tmp_path, block, value):
+        # each passes the format checks and fails only the model's own
+        # validation
+        model, _, path = self.trained_pair(tmp_path)
+        if block == "temperature":
+            offset = 8
+        else:
+            earlier = training.HEAD_BLOCKS[: training.HEAD_BLOCKS.index(block)]
+            offset = 28 + sum(getattr(model.video_head, name).nbytes for name in earlier)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="model.mvbm"):
             load_checkpoint(path)
 
     def test_full_run_reproducibility(self, tmp_path):
