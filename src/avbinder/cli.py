@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 _DIRECTIONS = {"v2a": DIRECTION_V2A, "a2v": DIRECTION_A2V}
+_DEFAULT_KS = (1, 5, 10)  # Recall@K cutoffs of train --eval-every and eval
 
 
 class _UsageError(Exception):
@@ -62,47 +64,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _number(parse, low=-math.inf, high=math.inf, low_open=False):
+    """argparse type: ``parse`` the text, then require a finite value in
+    [low, high], or in (low, high] when ``low_open``."""
+    kind = "an integer" if parse is int else "a number"
+    interval = f"{'(' if low_open else '['}{low}, {high}]"
+
+    def check(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}: {text!r}")
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        # comparisons, not math.isfinite, which overflows on a huge int
+        if not (-math.inf < value < math.inf and (low < value if low_open else low <= value) and value <= high):
+            raise argparse.ArgumentTypeError(f"must be finite and in {interval}: {text!r}")
         return value
 
-    return parse
+    return check
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (0.0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
-    return value
-
-
-def _float_in(low: float = -math.inf, high: float = math.inf):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-        if not (math.isfinite(value) and low <= value <= high):
-            raise argparse.ArgumentTypeError(f"must be finite and in [{low}, {high}]: {text!r}")
-        return value
-
-    return parse
-
-
-_finite_float = _float_in()
+_positive_int = _number(int, 1)
+_non_negative_int = _number(int, 0)
+_positive_float = _number(float, 0.0, low_open=True)
+_finite_float = _number(float)
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -122,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synthetic", help="emit paired synthetic embedding files")
     p.add_argument("--pairs", type=_positive_int, default=2500)
     p.add_argument("--latent-dim", type=_positive_int, default=32)
-    p.add_argument("--noise", type=_float_in(0.0), default=0.1)
+    p.add_argument("--noise", type=_number(float, 0.0), default=0.1)
     p.add_argument("--dim", type=_positive_int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-video", required=True)
@@ -136,20 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-val", type=_non_negative_int, default=0, help="pairs to hold out")
     p.add_argument("--val-video-out", help="where to write the held-out video side")
     p.add_argument("--val-audio-out", help="where to write the held-out audio side")
-    p.add_argument("--batch", type=_int_at_least(2), default=128)
-    p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--tau", type=_positive_float, default=0.07)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", type=_number(int, 2), default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_positive_float, default=TrainConfig.lr)
+    p.add_argument("--tau", type=_positive_float, default=TrainConfig.temperature)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
-    p.add_argument("--eval-every", type=_non_negative_int, default=0, help="epochs between held-out evals")
-    p.add_argument("--k", type=_parse_k_list, default=[1, 5, 10])
+    p.add_argument("--eval-every", type=_non_negative_int, default=TrainConfig.eval_every,
+                   help="epochs between held-out evals")
+    p.add_argument("--k", type=_parse_k_list, default=_DEFAULT_KS)
 
     p = sub.add_parser("eval", help="print a Recall@K table for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--video", required=True)
     p.add_argument("--audio", required=True)
-    p.add_argument("--k", type=_parse_k_list, default=[1, 5, 10])
+    p.add_argument("--k", type=_parse_k_list, default=_DEFAULT_KS)
     p.add_argument("--direction", choices=sorted(_DIRECTIONS), default="v2a")
     p.add_argument("--format", choices=["tsv", "line"], default="tsv")
 
@@ -166,18 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for cropped frames")
     p.add_argument("--hist-std-threshold", type=_finite_float, default=borders.BorderParams.hist_std_threshold)
     p.add_argument("--edge-magnitude", type=_non_negative_int, default=borders.BorderParams.edge_magnitude)
-    p.add_argument("--edge-fraction", type=_float_in(0.0, 1.0), default=borders.BorderParams.edge_fraction)
+    p.add_argument("--edge-fraction", type=_number(float, 0.0, 1.0), default=borders.BorderParams.edge_fraction)
     p.add_argument("--black-threshold", type=_finite_float, default=borders.BorderParams.black_threshold)
     p.add_argument("--contrast-margin", type=_finite_float, default=borders.BorderParams.contrast_margin)
     p.add_argument("--nms-radius", type=_non_negative_int, default=borders.BorderParams.nms_radius)
     return parser
-
-
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such file: {p}")
-    return p
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -195,8 +173,8 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    video = load_embeddings(_require_file(args.video))
-    audio = load_embeddings(_require_file(args.audio))
+    video = load_embeddings(args.video)
+    audio = load_embeddings(args.audio)
     dataset = pair_by_id(video, audio)
 
     val = None
@@ -248,9 +226,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _ = load_checkpoint(_require_file(args.checkpoint))
-    video = load_embeddings(_require_file(args.video))
-    audio = load_embeddings(_require_file(args.audio))
+    model, _ = load_checkpoint(args.checkpoint)
+    video = load_embeddings(args.video)
+    audio = load_embeddings(args.audio)
     val = pair_by_id(video, audio)
     report = recall_at_k(model, val, ks=args.k, direction=_DIRECTIONS[args.direction])
     if args.format == "line":
@@ -261,18 +239,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    model, _ = load_checkpoint(_require_file(args.checkpoint))
-    queries = load_embeddings(_require_file(args.queries))
-    candidates = load_embeddings(_require_file(args.candidates))
-    if args.direction == "v2a":
-        y_query = project_video(model, queries.data)
-        y_cand = project_audio(model, candidates.data)
-    else:
-        y_query = project_audio(model, queries.data)
-        y_cand = project_video(model, candidates.data)
-    index = build_index(
-        EmbeddingMatrix(ids=candidates.ids, data=y_cand.astype(np.float32))
+    model, _ = load_checkpoint(args.checkpoint)
+    queries = load_embeddings(args.queries)
+    candidates = load_embeddings(args.candidates)
+    project_query, project_cand = (
+        (project_video, project_audio) if args.direction == "v2a" else (project_audio, project_video)
     )
+    y_query = project_query(model, queries.data)
+    index = build_index(EmbeddingMatrix(ids=candidates.ids, data=project_cand(model, candidates.data)))
     if args.query_id is not None:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
@@ -287,15 +261,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_crop(args) -> int:
-    frames = [pnm.read_image(_require_file(f)) for f in args.frames]
-    params = borders.BorderParams(
-        hist_std_threshold=args.hist_std_threshold,
-        edge_magnitude=args.edge_magnitude,
-        edge_fraction=args.edge_fraction,
-        black_threshold=args.black_threshold,
-        contrast_margin=args.contrast_margin,
-        nms_radius=args.nms_radius,
-    )
+    frames = [pnm.read_image(f) for f in args.frames]
+    # each tuning flag's dest is the BorderParams field it sets
+    params = borders.BorderParams(**{f.name: getattr(args, f.name) for f in fields(borders.BorderParams)})
     rect = borders.detect_crop_rect(frames, params)
     print(f"left\t{rect.left}")
     print(f"top\t{rect.top}")
@@ -333,7 +301,7 @@ def run_cli(argv=None) -> int:
     except DivergenceError as exc:
         print(f"avbinder: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataFormatError, FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError is a ValueError
         print(f"avbinder: {exc}", file=sys.stderr)
         return EXIT_DATA
 

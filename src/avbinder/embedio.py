@@ -249,7 +249,7 @@ def _decode_tsv(blob: bytes, source: str) -> EmbeddingMatrix:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{source}: not valid UTF-8 text") from exc
     ids: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     dim: int | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
@@ -265,14 +265,16 @@ def _decode_tsv(blob: bytes, source: str) -> EmbeddingMatrix:
             )
         ids.append(fields[0])
         try:
-            values = [float(f) for f in fields[1:]]
+            with np.errstate(over="raise"):
+                rows.append(np.array([float(f) for f in fields[1:]], dtype=np.float32))
         except ValueError as exc:
             raise DataFormatError(f"{source}:{lineno}: unparseable value") from exc
-        rows.append(values)
+        except FloatingPointError as exc:  # finite as a double, inf as float32
+            raise NonFiniteValueError(f"{source}:{lineno}: value outside float32 range") from exc
     if dim is None:
         raise DataFormatError(f"{source}: empty TSV file")
     with naming_file(source):
-        return EmbeddingMatrix(ids=tuple(ids), data=np.array(rows, dtype=np.float32))
+        return EmbeddingMatrix(ids=tuple(ids), data=np.stack(rows))
 
 
 def save_embeddings(m: EmbeddingMatrix, path) -> None:

@@ -266,6 +266,14 @@ class AdamState:
     v: dict[str, np.ndarray]
     t: int = 0
 
+    def __post_init__(self) -> None:
+        for kind in ("m", "v"):
+            for name, moment in getattr(self, kind).items():
+                if not np.isfinite(moment).all():
+                    raise ValueError(f"non-finite values in Adam moment {kind}[{name!r}]")
+        if any((moment < 0).any() for moment in self.v.values()):
+            raise ValueError("Adam second moments must be non-negative")
+
     @classmethod
     def for_head(cls, head: ProjectionHead) -> "AdamState":
         return cls(

@@ -43,7 +43,15 @@ from typing import Callable
 
 import numpy as np
 
-from .binder import BindModel, info_nce_backward, info_nce_loss, l2_normalize_rows, normalize_backward, row_dots
+from .binder import (
+    DEFAULT_TEMPERATURE,
+    BindModel,
+    info_nce_backward,
+    info_nce_loss,
+    l2_normalize_rows,
+    normalize_backward,
+    row_dots,
+)
 from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, naming_file, write_atomic
 from .errors import DivergenceError, TruncatedPayloadError
 from .projection import (
@@ -72,7 +80,7 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 50
     lr: float = 1e-3
-    temperature: float = 0.07
+    temperature: float = DEFAULT_TEMPERATURE
     seed: int = 0
     shuffle: bool = True
     eval_every: int = 0  # epochs between eval callbacks; 0 disables
@@ -228,8 +236,8 @@ def gen_synthetic(
     linear images of a shared latent, plus isotropic noise."""
     if n_pairs < 1 or latent_dim < 1:
         raise ValueError("n_pairs and latent_dim must be positive")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError("noise must be non-negative and finite")
     rng = spawn_rng(seed, "synthetic")
     z = rng.standard_normal((n_pairs, latent_dim))
     map_v = rng.standard_normal((latent_dim, dim))
@@ -238,8 +246,8 @@ def gen_synthetic(
     audio = z @ map_a + noise * rng.standard_normal((n_pairs, dim))
     ids = tuple(f"syn-{i:05d}" for i in range(n_pairs))
     return PairedDataset(
-        video=EmbeddingMatrix(ids=ids, data=video.astype(np.float32)),
-        audio=EmbeddingMatrix(ids=ids, data=audio.astype(np.float32)),
+        video=EmbeddingMatrix(ids=ids, data=video),
+        audio=EmbeddingMatrix(ids=ids, data=audio),
     )
 
 
@@ -311,10 +319,10 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
     with naming_file(source):
         video_head, audio_head = (ProjectionHead(**b, **h) for b, h in zip(heads, hypers))
         model = BindModel(video_head=video_head, audio_head=audio_head, temperature=tau)
-    state = TrainState(
-        video_opt=AdamState(m=m[0], v=v[0], t=step),
-        audio_opt=AdamState(m=m[1], v=v[1], t=step),
-        seed=seed,
-        config=meta.get("config", {}),
-    )
+        state = TrainState(
+            video_opt=AdamState(m=m[0], v=v[0], t=step),
+            audio_opt=AdamState(m=m[1], v=v[1], t=step),
+            seed=seed,
+            config=meta.get("config", {}),
+        )
     return model, state

@@ -10,6 +10,8 @@ from helpers import make_clip
 from avbinder import pnm
 from avbinder.cli import run_cli
 from avbinder.embedio import load_embeddings
+from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS
+from avbinder.training import load_checkpoint
 
 
 def run(argv, capsys):
@@ -60,6 +62,14 @@ class TestUsage:
         assert code == 2
         assert "/nonexistent/v.mvbe" in err
 
+    def test_directory_as_input_file_is_data_error(self, tmp_path, capsys):
+        code, _, err = run(
+            ["train", "--video", str(tmp_path), "--audio", str(tmp_path), "--out", str(tmp_path / "m.mvbm")],
+            capsys,
+        )
+        assert code == 2
+        assert str(tmp_path) in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -82,6 +92,10 @@ class TestUsage:
             ("crop", "--hist-std-threshold", "nan"),
             ("crop", "--black-threshold", "inf"),
             ("crop", "--contrast-margin", "inf"),
+            ("train", "--batch", "two"),
+            ("train", "--lr", "fast"),
+            ("crop", "--nms-radius", "2.5"),
+            ("crop", "--edge-fraction", "x"),
         ],
     )
     def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):
@@ -285,6 +299,31 @@ class TestChain:
         )
         assert code == 2
         assert out == "" and "bn_eps" in err
+
+
+    def test_eval_rejects_invalid_adam_moment(self, workspace, tmp_path, capsys):
+        # -1.0 and NaN over the first two values of the video head's
+        # second-moment w1 block, which follows both heads' parameters and
+        # both heads' first moments
+        model, _ = load_checkpoint(workspace["ckpt"])
+        heads = (model.video_head, model.audio_head)
+        offset = 28 + sum(getattr(h, name).nbytes for h in heads for name in HEAD_BLOCKS)
+        offset += sum(getattr(h, name).nbytes for h in heads for name in PARAM_FIELDS)
+        blob = bytearray(workspace["ckpt"].read_bytes())
+        blob[offset : offset + 8] = struct.pack("<2f", -1.0, float("nan"))
+        ckpt = tmp_path / "bad_moment.mvbm"
+        ckpt.write_bytes(bytes(blob))
+        code, out, err = run(
+            [
+                "eval",
+                "--checkpoint", str(ckpt),
+                "--video", str(workspace["val_v"]),
+                "--audio", str(workspace["val_a"]),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
 
 
 class TestReproducibility:

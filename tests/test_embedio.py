@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,17 @@ class TestTsvFormat:
         path.write_text("a\t1.0\nb\tnan\n")
         with pytest.raises(NonFiniteValueError):
             load_embeddings(path)
+
+    def test_value_outside_float32_names_the_line(self, tmp_path):
+        path = tmp_path / "big.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's cast warning must not escape
+            for value in ("1e39", "-3.4028236e38"):
+                path.write_text(f"a\t1.0\nb\t{value}\n")
+                with pytest.raises(NonFiniteValueError, match=r"big\.tsv:2: value outside float32 range"):
+                    load_embeddings(path)
+            path.write_text("a\t3.4028235e38\n")  # float32 max still loads
+            assert load_embeddings(path).data[0, 0] == np.finfo(np.float32).max
 
     def test_invalid_utf8_is_a_data_error_naming_the_file(self, tmp_path):
         path = tmp_path / "m.tsv"

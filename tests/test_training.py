@@ -248,6 +248,9 @@ class TestSynthetic:
             gen_synthetic(0, 4, 0.1, seed=0)
         with pytest.raises(ValueError):
             gen_synthetic(4, 4, -0.1, seed=0)
+        for noise in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise"):
+                gen_synthetic(4, 4, noise, seed=0)
 
 
 class TestCheckpoint:
@@ -327,6 +330,24 @@ class TestCheckpoint:
         blob[offset : offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="model.mvbm"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "kind, values",
+        [("v", (-1.0,)), ("v", (float("nan"),)), ("m", (float("inf"),)), ("v", (-1.0, float("nan")))],
+    )
+    def test_invalid_adam_moments_are_a_data_error_naming_the_file(self, tmp_path, kind, values):
+        # overwrite the first values of the video head's w1 moment block;
+        # m blocks for both heads come first, then the v blocks
+        model, _, path = self.trained_pair(tmp_path)
+        heads = (model.video_head, model.audio_head)
+        offset = 28 + sum(getattr(h, name).nbytes for h in heads for name in training.HEAD_BLOCKS)
+        if kind == "v":
+            offset += sum(getattr(h, name).nbytes for h in heads for name in PARAM_FIELDS)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 4 * len(values)] = struct.pack(f"<{len(values)}f", *values)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="model.mvbm: .*Adam"):
             load_checkpoint(path)
 
     def test_full_run_reproducibility(self, tmp_path):
