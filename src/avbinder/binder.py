@@ -14,10 +14,11 @@ overflow.
 followed by numpy's pairwise sum over each row, so a score's bits do not
 depend on the shapes it was computed in. :func:`pair_dots` applies the same
 reduction to chosen (row, column) pairs and gives the same bits. Training
-scores its batch with ``row_dots``. Search (:mod:`avbinder.retrieval`)
-screens with a BLAS product and calls these two only where the GEMM score
-cannot settle the order; every score it returns is still the ``row_dots``
-value.
+scores its batch with a BLAS product, ``u @ v.T``: those scores feed only
+the loss and its gradient, so their bits need not match search's. Search
+(:mod:`avbinder.retrieval`) screens with a BLAS product too and calls these
+two only where the GEMM score cannot settle the order; every score it
+returns is still the ``row_dots`` value.
 """
 
 from __future__ import annotations

@@ -85,6 +85,7 @@ def _number(parse, low=-math.inf, high=math.inf, low_open=False):
 
 _positive_int = _number(int, 1)
 _non_negative_int = _number(int, 0)
+_seed = _number(int, 0, 2**64 - 1)  # checkpoints store the seed as uint64
 _positive_float = _number(float, 0.0, low_open=True)
 _finite_float = _number(float)
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent-dim", type=_positive_int, default=32)
     p.add_argument("--noise", type=_number(float, 0.0), default=0.1)
     p.add_argument("--dim", type=_positive_int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-video", required=True)
     p.add_argument("--out-audio", required=True)
 
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=_positive_float, default=TrainConfig.lr)
     p.add_argument("--tau", type=_positive_float, default=TrainConfig.temperature)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--eval-every", type=_non_negative_int, default=TrainConfig.eval_every,
                    help="epochs between held-out evals")

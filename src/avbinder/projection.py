@@ -9,11 +9,12 @@ statistics at evaluation; dropout is inverted (survivors scaled by 1/(1-p))
 so evaluation is the identity. The backward pass is exact, including the
 dependence of the batch mean/variance on the inputs.
 
-Parameters are stored in the head's dtype (float32 by default); all forward,
-backward and optimizer arithmetic runs in float64. A training forward keeps
-the float64 weights and activations that backward needs, so backward casts
-and recomputes nothing. Adam updates each parameter and its moments in
-place, rounding to the stored dtype once, on assignment.
+Parameters are stored in the head's dtype (float32 by default), and all
+forward, backward and optimizer arithmetic runs in that dtype: the input
+batch and the upstream gradient are cast to it once, and every weight is
+used as stored. A training forward keeps the activations that backward
+needs, so backward recomputes nothing. Adam updates each parameter and its
+moments in place.
 """
 
 from __future__ import annotations
@@ -95,8 +96,6 @@ class ForwardCache:
     dropout_mask: np.ndarray | None
     dropout_scale: float
     dropped: np.ndarray  # the activations fed to linear-2
-    gamma: np.ndarray  # float64 bn_gamma as the forward used it
-    w2: np.ndarray  # float64 w2 as the forward used it
     bn_eps: float
 
 
@@ -157,10 +156,11 @@ def head_forward(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
-    """Project a batch. Training mode updates running stats in place and
-    returns a cache for :func:`head_backward`; eval mode returns no cache
-    and draws nothing from ``rng``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Project a batch into an array of the head's dtype. Training mode
+    updates running stats in place and returns a cache for
+    :func:`head_backward`; eval mode returns no cache and draws nothing
+    from ``rng``."""
+    x = np.asarray(x, dtype=head.dtype)
     if x.ndim != 2 or x.shape[1] != head.d_in:
         raise ValueError(f"expected batch of shape (N, {head.d_in}), got {x.shape}")
     if x.shape[0] < 1:
@@ -168,26 +168,20 @@ def head_forward(
     if not np.isfinite(x).all():
         raise ValueError("non-finite input batch")
 
-    # biases promote exactly against float64 arrays, so they need no cast
-    pre_bn = x @ head.w1.astype(np.float64) + head.b1
+    pre_bn = x @ head.w1 + head.b1
 
     if training:
         batch_mean = pre_bn.mean(axis=0)
         batch_var = pre_bn.var(axis=0)  # biased, divisor N
-        x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
         mom = head.bn_momentum
-        # cast: a Python float times a float32 array stays float32
-        new_mean = (1.0 - mom) * head.bn_running_mean.astype(np.float64) + mom * batch_mean
-        new_var = (1.0 - mom) * head.bn_running_var.astype(np.float64) + mom * batch_var
-        head.bn_running_mean[...] = new_mean
-        head.bn_running_var[...] = new_var
+        head.bn_running_mean[...] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
+        head.bn_running_var[...] = (1.0 - mom) * head.bn_running_var + mom * batch_var
     else:
-        batch_mean = head.bn_running_mean.astype(np.float64)
-        batch_var = head.bn_running_var.astype(np.float64)
-        x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
+        batch_mean = head.bn_running_mean
+        batch_var = head.bn_running_var
+    x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
 
-    gamma = head.bn_gamma.astype(np.float64)
-    z = gamma * x_hat + head.bn_beta
+    z = head.bn_gamma * x_hat + head.bn_beta
     relu_mask = z > 0
     hidden = z * relu_mask
 
@@ -198,8 +192,7 @@ def head_forward(
     else:
         dropped, mask, scale = hidden, None, 1.0
 
-    w2 = head.w2.astype(np.float64)
-    y = dropped @ w2 + head.b2
+    y = dropped @ head.w2 + head.b2
     if not training:
         return y, None
     cache = ForwardCache(
@@ -211,8 +204,6 @@ def head_forward(
         dropout_mask=mask,
         dropout_scale=scale,
         dropped=dropped,
-        gamma=gamma,
-        w2=w2,
         bn_eps=head.bn_eps,
     )
     return y, cache
@@ -223,8 +214,11 @@ def head_backward(
 ) -> HeadGradients:
     """Exact gradients of sum(loss) with respect to the head's parameters,
     replaying the dropout mask recorded in the cache. The input batch gets
-    no gradient: the features it holds are frozen."""
-    dy = np.asarray(dy, dtype=np.float64)
+    no gradient: the features it holds are frozen.
+
+    Reads ``bn_gamma`` and ``w2`` from ``head``, so the head must not have
+    been updated since the forward pass that filled ``cache``."""
+    dy = np.asarray(dy, dtype=head.dtype)
     n = cache.x_hat.shape[0]
     if dy.shape != (n, head.d_out):
         raise ValueError(
@@ -233,7 +227,7 @@ def head_backward(
 
     db2 = dy.sum(axis=0)
     dw2 = cache.dropped.T @ dy
-    d_dropped = dy @ cache.w2.T
+    d_dropped = dy @ head.w2.T
 
     if cache.dropout_mask is not None:
         d_hidden = d_dropped * cache.dropout_mask * cache.dropout_scale
@@ -245,7 +239,7 @@ def head_backward(
     dbeta = dz.sum(axis=0)
 
     # Batch-norm backward through the batch statistics.
-    dx_hat = dz * cache.gamma
+    dx_hat = dz * head.bn_gamma
     inv_std = 1.0 / np.sqrt(cache.batch_var + cache.bn_eps)
     d_pre = (inv_std / n) * (
         n * dx_hat
@@ -296,25 +290,25 @@ def adam_step(
     """One Adam update of ``param``, ``m`` and ``v``, in place.
 
     ``t`` is the 1-based step the update belongs to. The arithmetic runs in
-    float64 on the unrounded moments; each array rounds to its own dtype
-    once, when the result is assigned to it.
+    ``param``'s dtype: the moments are updated in place, and the step is
+    formed in two scratch buffers before it is subtracted from ``param``.
     """
-    g = np.asarray(grad, dtype=np.float64)
-    m_new = np.multiply(m, beta1, dtype=np.float64)
-    m_new += (1.0 - beta1) * g
-    v_new = np.multiply(v, beta2, dtype=np.float64)
-    v_new += (1.0 - beta2) * g * g
-    m[...] = m_new
-    v[...] = v_new
-    # the two buffers become lr * m_hat and sqrt(v_hat) + eps, then the step
-    m_new /= 1.0 - beta1**t
-    m_new *= lr
-    v_new /= 1.0 - beta2**t
-    np.sqrt(v_new, out=v_new)
-    v_new += eps
-    m_new /= v_new
-    np.subtract(param, m_new, out=m_new)
-    param[...] = m_new
+    g = np.asarray(grad, dtype=param.dtype)
+    step = np.multiply(g, 1.0 - beta1)
+    denom = np.multiply(g, 1.0 - beta2)
+    denom *= g
+    m *= beta1
+    m += step
+    v *= beta2
+    v += denom
+    # the buffers held the moment increments; now lr * m_hat and sqrt(v_hat) + eps, then the step
+    np.divide(m, 1.0 - beta1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    param -= step
 
 
 def apply_update(

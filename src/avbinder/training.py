@@ -1,10 +1,11 @@
 """Mini-batch contrastive training, checkpointing, synthetic data.
 
 Each step runs both heads forward in training mode on a paired batch,
-normalizes, scores all NxN cosine pairs, applies the symmetric contrastive
-loss, backpropagates exactly and Adam-updates both heads. The final partial
-batch of an epoch is dropped (batch statistics and in-batch negatives
-degenerate on tiny remainders).
+normalizes, scores all NxN cosine pairs with one GEMM, applies the symmetric
+contrastive loss, backpropagates exactly and Adam-updates both heads. The
+heads compute in their own dtype; normalization, scores and loss run in
+float64. The final partial batch of an epoch is dropped (batch statistics
+and in-batch negatives degenerate on tiny remainders).
 
 Checkpoint format (little-endian)::
 
@@ -50,7 +51,7 @@ from .binder import (
     info_nce_loss,
     l2_normalize_rows,
     normalize_backward,
-    row_dots,
+    row_dots,  # noqa: F401  unused here; perfbench's train trace wraps training.row_dots
 )
 from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, naming_file, write_atomic
 from .errors import DivergenceError, TruncatedPayloadError
@@ -146,7 +147,7 @@ def contrastive_loss_and_grads(
     ya, cache_a = head_forward(model.audio_head, xa, training=True, rng=rng)
     u = l2_normalize_rows(yv)
     v = l2_normalize_rows(ya)
-    scores = row_dots(u, v)
+    scores = u @ v.T
     loss = info_nce_loss(scores, model.temperature)
 
     g_scores = info_nce_backward(scores, model.temperature)

@@ -154,35 +154,36 @@ INTEGER_FIXTURE_GOLDEN = (
 
 
 # --- reference training step -------------------------------------------------
-# The projection-head step as first written: forward and backward each cast
-# the weights to float64, backward recomputes the activations from the
-# cache, and Adam runs on float64 copies that are cast back on write. The
-# production step caches and updates in place instead; it must give the same
-# bits, so these formulas stay as they were.
+# The projection-head step as first written, in the head's dtype: forward
+# and backward each cast the weights, backward recomputes the activations
+# from the cache, and Adam works on fresh arrays that are cast back on
+# write. The production step caches and updates in place instead; it must
+# give the same bits, so these formulas stay as they were.
 
 
 def reference_head_forward(head, x, rng):
     """Training-mode forward with dropout on; updates the running stats,
     returns (y, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    w1 = head.w1.astype(np.float64)
-    w2 = head.w2.astype(np.float64)
-    pre_bn = x @ w1 + head.b1.astype(np.float64)
+    dtype = head.dtype
+    x = np.asarray(x, dtype=dtype)
+    w1 = head.w1.astype(dtype)
+    w2 = head.w2.astype(dtype)
+    pre_bn = x @ w1 + head.b1.astype(dtype)
     batch_mean = pre_bn.mean(axis=0)
     batch_var = pre_bn.var(axis=0)
     x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
     mom = head.bn_momentum
-    new_mean = (1.0 - mom) * head.bn_running_mean.astype(np.float64) + mom * batch_mean
-    new_var = (1.0 - mom) * head.bn_running_var.astype(np.float64) + mom * batch_var
+    new_mean = (1.0 - mom) * head.bn_running_mean.astype(dtype) + mom * batch_mean
+    new_var = (1.0 - mom) * head.bn_running_var.astype(dtype) + mom * batch_var
     head.bn_running_mean[...] = new_mean.astype(head.dtype)
     head.bn_running_var[...] = new_var.astype(head.dtype)
-    z = head.bn_gamma.astype(np.float64) * x_hat + head.bn_beta.astype(np.float64)
+    z = head.bn_gamma.astype(dtype) * x_hat + head.bn_beta.astype(dtype)
     relu_mask = z > 0
     hidden = z * relu_mask
     mask = rng.random(hidden.shape) >= head.dropout_p
     scale = 1.0 / (1.0 - head.dropout_p)
     dropped = hidden * mask * scale
-    y = dropped @ w2 + head.b2.astype(np.float64)
+    y = dropped @ w2 + head.b2.astype(dtype)
     cache = {"x": x, "batch_var": batch_var, "x_hat": x_hat, "relu_mask": relu_mask,
              "mask": mask, "scale": scale}
     return y, cache
@@ -190,14 +191,16 @@ def reference_head_forward(head, x, rng):
 
 def reference_head_backward(head, cache, dy):
     """Parameter gradients, by name, of sum(dy * y)."""
+    dtype = head.dtype
+    dy = np.asarray(dy, dtype=dtype)
     n = dy.shape[0]
-    gamma = head.bn_gamma.astype(np.float64)
-    z = gamma * cache["x_hat"] + head.bn_beta.astype(np.float64)
+    gamma = head.bn_gamma.astype(dtype)
+    z = gamma * cache["x_hat"] + head.bn_beta.astype(dtype)
     hidden = z * cache["relu_mask"]
     dropped = hidden * cache["mask"] * cache["scale"]
     db2 = dy.sum(axis=0)
     dw2 = dropped.T @ dy
-    d_dropped = dy @ head.w2.astype(np.float64).T
+    d_dropped = dy @ head.w2.astype(dtype).T
     d_hidden = d_dropped * cache["mask"] * cache["scale"]
     dz = d_hidden * cache["relu_mask"]
     dgamma = (dz * cache["x_hat"]).sum(axis=0)
@@ -211,13 +214,15 @@ def reference_head_backward(head, cache, dy):
 
 
 def reference_adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update in float64; returns (param, m, v) as new float64 arrays."""
-    g = np.asarray(grad, dtype=np.float64)
-    m = beta1 * np.asarray(m, dtype=np.float64) + (1.0 - beta1) * g
-    v = beta2 * np.asarray(v, dtype=np.float64) + (1.0 - beta2) * g * g
+    """One Adam update in ``param``'s dtype; returns (param, m, v) as new
+    arrays."""
+    dtype = param.dtype
+    g = np.asarray(grad, dtype=dtype)
+    m = beta1 * np.asarray(m, dtype=dtype) + (1.0 - beta1) * g
+    v = beta2 * np.asarray(v, dtype=dtype) + (1.0 - beta2) * g * g
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    param = np.asarray(param, dtype=np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)
+    param = np.asarray(param, dtype=dtype) - lr * m_hat / (np.sqrt(v_hat) + eps)
     return param, m, v
 
 
@@ -233,13 +238,12 @@ def reference_train_step(model, xv, xa, state, lr, rng) -> float:
         info_nce_loss,
         l2_normalize_rows,
         normalize_backward,
-        row_dots,
     )
 
     yv, cache_v = reference_head_forward(model.video_head, xv, rng)
     ya, cache_a = reference_head_forward(model.audio_head, xa, rng)
     u, v = l2_normalize_rows(yv), l2_normalize_rows(ya)
-    scores = row_dots(u, v)
+    scores = u @ v.T
     loss = info_nce_loss(scores, model.temperature)
     g_scores = info_nce_backward(scores, model.temperature)
     d_yv = normalize_backward(yv, g_scores @ v)

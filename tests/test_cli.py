@@ -96,6 +96,8 @@ class TestUsage:
             ("train", "--lr", "fast"),
             ("crop", "--nms-radius", "2.5"),
             ("crop", "--edge-fraction", "x"),
+            ("gen-synthetic", "--seed", "-1"),
+            ("train", "--seed", "18446744073709551616"),
         ],
     )
     def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from avbinder.projection import (
+    HEAD_BLOCKS,
     PARAM_FIELDS,
     AdamState,
     adam_step,
@@ -154,6 +155,26 @@ class TestForward:
         assert (cache.batch_var > 0).all()
         np.testing.assert_allclose(cache.x_hat.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(cache.x_hat.var(axis=0), 1.0, atol=1e-3)
+
+    def test_float32_eval_projection_is_within_search_tolerance(self):
+        # search's oracle projects in float64 and compares scores to 1e-6,
+        # so a float32 head must project every row closer than that
+        rng = np.random.default_rng(6)
+        head = init_head(6)
+        x = rng.standard_normal((256, 1024)).astype(np.float32)
+        pre_bn = x.astype(np.float64) @ head.w1.astype(np.float64)
+        head.bn_running_mean[...] = pre_bn.mean(axis=0)
+        head.bn_running_var[...] = pre_bn.var(axis=0)
+        head.bn_gamma[...] = rng.uniform(0.5, 1.5, head.d_hid)
+        head.bn_beta[...] = rng.uniform(-0.5, 0.5, head.d_hid)
+        head.b1[...] = rng.uniform(-0.1, 0.1, head.d_hid)
+        head.b2[...] = rng.uniform(-0.1, 0.1, head.d_out)
+        wide = dataclasses.replace(head, **{n: getattr(head, n).astype(np.float64) for n in HEAD_BLOCKS})
+        y32, _ = head_forward(head, x, training=False)
+        y64, _ = head_forward(wide, x, training=False)
+        assert y32.dtype == np.float32 and y64.dtype == np.float64
+        row_error = np.linalg.norm(y32 - y64, axis=1) / np.linalg.norm(y64, axis=1)
+        assert row_error.max() < 1e-6
 
     def test_inverted_dropout_is_unbiased(self):
         x = np.array([1.0, -2.0, 0.5, 3.0, -0.25, 4.0, 1.5, -1.0])
