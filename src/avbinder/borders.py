@@ -8,14 +8,17 @@ image are taken, (4) rows/columns whose gradient response is strong across
 most of their length become border-line candidates annotated with strip
 statistics from the original frame, (5) candidates whose outer strip is not
 near-black, has no near-black mirror across the frame center, or does not
-contrast with the interior are dropped, (6) surviving candidate positions
+contrast with the interior are dropped, (6) surviving candidate depths
 are unified across frames by non-maximum suppression, and (7) the winning
-lines form the crop rectangle (falling back to the full frame when the
+depths form the crop rectangle (falling back to the full frame when the
 result would keep less than ``MIN_AREA_FRACTION`` of the area).
 
-A candidate's ``position`` is the crop line itself: for the top/left side
-the first content row/column, for the bottom/right side the first border
-row/column (i.e. the exclusive bound of the content).
+A candidate carries its ``side`` (one of ``SIDES``) and its ``depth``, the
+border's thickness in rows or columns from that side's frame edge, both
+fixed by the scan that finds it. It also carries three strip means of the
+original frame, each over ``depth`` rows or columns: the outer strip (the
+border itself), the inner strip just inside it, and the mirror strip at the
+opposite edge.
 
 Images are 2-D uint8 arrays; RGB frames are reduced to Rec.601 luma first.
 Every stage takes its thresholds from one ``BorderParams``.
@@ -29,8 +32,6 @@ import numpy as np
 
 from .kernels import hist256, sobel_gradients
 
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 SIDES = ("top", "bottom", "left", "right")
 SEARCH_FRACTION = 0.35  # candidates live in the outer such band of each axis
 MIN_AREA_FRACTION = 0.25  # sanity floor for the cropped area
@@ -48,11 +49,12 @@ class BorderParams:
 
 @dataclass(frozen=True)
 class EdgeCandidate:
-    orientation: str  # HORIZONTAL (a row boundary) or VERTICAL (a column one)
-    position: int  # crop line, see module docstring
+    side: str  # one of SIDES
+    depth: int  # border thickness in rows/columns, counted from the side's edge
     edge_fraction: float
-    outer_mean: float
-    inner_mean: float
+    outer_mean: float  # the border strip
+    inner_mean: float  # the same-thickness strip just inside it
+    mirror_mean: float  # the same-thickness strip at the opposite edge
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,6 @@ class CropRect:
     @property
     def height(self) -> int:
         return self.bottom - self.top
-
-
-@dataclass(frozen=True)
-class BorderLines:
-    top: int | None = None
-    bottom: int | None = None
-    left: int | None = None
-    right: int | None = None
 
 
 def rgb_to_gray(img: np.ndarray) -> np.ndarray:
@@ -184,37 +178,38 @@ def _runs(flags: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _axis_candidates(
-    fractions: np.ndarray, values: np.ndarray, orientation: str, frac_threshold: float
+    fractions: np.ndarray, values: np.ndarray, sides: tuple[str, str], frac_threshold: float
 ) -> list[EdgeCandidate]:
     """Candidates along one axis. ``fractions[i]`` is the edge fraction of
-    line i, ``values`` the original image collapsed so that axis 0 matches.
+    line i, ``values`` the original image collapsed so that axis 0 matches,
+    ``sides`` the names of the axis's near and far side.
 
-    The far side is scanned as the near side of the reversed axis. Strip
-    means are sums of 8-bit integers, exact in float64 in any order, so the
-    reversal changes no bit; each side's runs come out in ascending position.
+    The far side is scanned as the near side of the reversed axis, so a
+    run's content-side end is the depth on either side. Depths stay within
+    ``SEARCH_FRACTION`` of the extent, so the inner and mirror strips are
+    never empty and never overlap the outer one. Strip means are sums of
+    8-bit integers, exact in float64 in any order, so the reversal changes
+    no bit. The output runs along the axis: near-side candidates by
+    ascending depth, then far-side ones by descending depth.
     """
     extent = fractions.shape[0]
     window = int(np.floor(SEARCH_FRACTION * extent))
     out: list[EdgeCandidate] = []
-    for step in (1, -1):
+    for side, step in zip(sides, (1, -1)):
         fracs, vals = fractions[::step], values[::step]
-        side: list[EdgeCandidate] = []
-        for first, last in _runs(fracs[: window + 1] >= frac_threshold):
-            line = last  # content-side end of the response run
-            if line < 1:
-                continue
-            outer = vals[:line]
-            inner = vals[line : min(2 * line, extent)]
-            side.append(
-                EdgeCandidate(
-                    orientation=orientation,
-                    position=line if step == 1 else extent - line,
-                    edge_fraction=float(fracs[first : last + 1].max()),
-                    outer_mean=float(outer.mean()),
-                    inner_mean=float(inner.mean()) if inner.size else float(outer.mean()),
-                )
+        found = [
+            EdgeCandidate(
+                side=side,
+                depth=depth,
+                edge_fraction=float(fracs[first : depth + 1].max()),
+                outer_mean=float(vals[:depth].mean()),
+                inner_mean=float(vals[depth : 2 * depth].mean()),
+                mirror_mean=float(vals[extent - depth :].mean()),
             )
-        out += side[::step]
+            for first, depth in _runs(fracs[: window + 1] >= frac_threshold)
+            if depth >= 1
+        ]
+        out += found[::step]
     return out
 
 
@@ -230,86 +225,43 @@ def extract_edge_candidates(
     have |Gy| >= ``params.edge_magnitude`` (columns use |Gx|); consecutive
     qualifying lines collapse into one candidate at the content-side
     boundary. Only the outer ``SEARCH_FRACTION`` of each dimension is
-    searched. Outer and inner strip means come from the original image, on
-    the band between the line and the nearer frame edge and on a
-    same-thickness band just inside.
-    The means read the 8-bit image directly: its integer partial sums are
-    exact in float64, so no summation order can change them.
+    searched. The strip means come from the original image (see the module
+    docstring). They read the 8-bit image directly: its integer partial
+    sums are exact in float64, so no summation order can change them.
     """
     img = _check_gray(img)
     if gx.shape != img.shape or gy.shape != img.shape:
         raise ValueError("gradient maps must match the image shape")
     row_frac = (np.abs(gy) >= params.edge_magnitude).mean(axis=1)
     col_frac = (np.abs(gx) >= params.edge_magnitude).mean(axis=0)
-    cands = _axis_candidates(row_frac, img, HORIZONTAL, params.edge_fraction)
-    cands += _axis_candidates(col_frac, img.T, VERTICAL, params.edge_fraction)
+    cands = _axis_candidates(row_frac, img, ("top", "bottom"), params.edge_fraction)
+    cands += _axis_candidates(col_frac, img.T, ("left", "right"), params.edge_fraction)
     return cands
-
-
-def _side_of(cand: EdgeCandidate, height: int, width: int) -> str:
-    if cand.orientation == HORIZONTAL:
-        return "top" if 2 * cand.position < height else "bottom"
-    return "left" if 2 * cand.position < width else "right"
-
-
-def _strip_mean(img: np.ndarray, side: str, line: int) -> float:
-    height, width = img.shape
-    if side == "top":
-        strip = img[:line, :]
-    elif side == "bottom":
-        strip = img[line:, :]
-    elif side == "left":
-        strip = img[:, :line]
-    else:
-        strip = img[:, line:]
-    return float(strip.mean()) if strip.size else 255.0
 
 
 _OPPOSITE = {"top": "bottom", "bottom": "top", "left": "right", "right": "left"}
 
 
 def fold_filter(
-    cands: list[EdgeCandidate],
-    img: np.ndarray,
-    params: BorderParams = BorderParams(),
+    cands: list[EdgeCandidate], params: BorderParams = BorderParams()
 ) -> list[EdgeCandidate]:
-    """Keep a candidate only if its outer strip is near-black, the strip
-    mirrored across the frame center is near-black too (or an opposite-side
-    candidate sits within ``params.nms_radius``), and the interior is
-    clearly brighter than the border (so solid-color frames produce
-    nothing)."""
-    img = _check_gray(img)
-    height, width = img.shape
-
+    """Keep a candidate only if its outer strip is near-black, its mirror
+    strip is near-black too (or an opposite-side candidate's depth is within
+    ``params.nms_radius`` of its own), and the interior is clearly brighter
+    than the border (so solid-color frames produce nothing)."""
     kept: list[EdgeCandidate] = []
     for cand in cands:
         if cand.outer_mean > params.black_threshold:
             continue
         if cand.inner_mean - cand.outer_mean < params.contrast_margin:
             continue
-        side = _side_of(cand, height, width)
-        extent = height if cand.orientation == HORIZONTAL else width
-        mirror_line = extent - cand.position
-        mirror_mean = _strip_mean(img, _OPPOSITE[side], mirror_line)
         paired = any(
-            other.orientation == cand.orientation
-            and _side_of(other, height, width) == _OPPOSITE[side]
-            and abs(other.position - mirror_line) <= params.nms_radius
+            other.side == _OPPOSITE[cand.side] and abs(other.depth - cand.depth) <= params.nms_radius
             for other in cands
         )
-        if mirror_mean <= params.black_threshold or paired:
+        if cand.mirror_mean <= params.black_threshold or paired:
             kept.append(cand)
     return kept
-
-
-def _edge_distance(side: str, position: int, height: int, width: int) -> int:
-    if side == "top":
-        return position
-    if side == "bottom":
-        return height - position
-    if side == "left":
-        return position
-    return width - position
 
 
 def _support(entries: list[tuple[int, EdgeCandidate]]) -> tuple[int, float]:
@@ -318,47 +270,43 @@ def _support(entries: list[tuple[int, EdgeCandidate]]) -> tuple[int, float]:
 
 
 def nms_unify(
-    per_frame: list[list[EdgeCandidate]],
-    frame_shape: tuple[int, int],
-    params: BorderParams = BorderParams(),
-) -> BorderLines:
-    """Suppress all but the best-supported candidate cluster per side.
+    per_frame: list[list[EdgeCandidate]], params: BorderParams = BorderParams()
+) -> dict[str, int]:
+    """Suppress all but the best-supported candidate cluster per side and
+    return ``{side: depth}`` for the sides that have candidates.
 
-    Positions within ``params.nms_radius`` of each other (single linkage)
-    form one cluster. A cluster's representative is its position with the
-    most supporting frames, then the highest mean edge fraction, then the
-    nearest to the frame edge; clusters are ranked the same way (with the
-    representative's distance), and the winner's representative becomes
-    the side's unified line.
+    Depths within ``params.nms_radius`` of each other (single linkage) form
+    one cluster. A cluster's representative is its depth with the most
+    supporting frames, then the highest mean edge fraction, then the
+    smallest depth; clusters are ranked the same way (with the
+    representative's depth), and the winner's representative becomes the
+    side's unified depth. Representatives of distinct clusters differ, so
+    the ranking has no ties.
     """
-    height, width = frame_shape
-    unified: dict[str, int | None] = {side: None for side in SIDES}
-    by_side: dict[str, list[tuple[int, EdgeCandidate]]] = {side: [] for side in SIDES}
+    by_side: dict[str, list[tuple[int, EdgeCandidate]]] = {}
     for frame_idx, cands in enumerate(per_frame):
         for cand in cands:
-            by_side[_side_of(cand, height, width)].append((frame_idx, cand))
+            by_side.setdefault(cand.side, []).append((frame_idx, cand))
 
+    unified: dict[str, int] = {}
     for side, entries in by_side.items():
-        if not entries:
-            continue
-        entries.sort(key=lambda e: e[1].position)
+        entries.sort(key=lambda e: e[1].depth)
         clusters: list[list[tuple[int, EdgeCandidate]]] = [[entries[0]]]
         for entry in entries[1:]:
-            if entry[1].position - clusters[-1][-1][1].position <= params.nms_radius:
+            if entry[1].depth - clusters[-1][-1][1].depth <= params.nms_radius:
                 clusters[-1].append(entry)
             else:
                 clusters.append([entry])
 
-        best_score = None
+        ranked = []
         for cluster in clusters:
             at: dict[int, list[tuple[int, EdgeCandidate]]] = {}
             for item in cluster:
-                at.setdefault(item[1].position, []).append(item)
-            rep = max(at, key=lambda p: (*_support(at[p]), -_edge_distance(side, p, height, width)))
-            score = (*_support(cluster), -_edge_distance(side, rep, height, width))
-            if best_score is None or score > best_score:  # ties keep the first cluster
-                best_score, unified[side] = score, rep
-    return BorderLines(**unified)
+                at.setdefault(item[1].depth, []).append(item)
+            rep = max(at, key=lambda d: (*_support(at[d]), -d))
+            ranked.append(((*_support(cluster), -rep), rep))
+        unified[side] = max(ranked)[1]
+    return unified
 
 
 def detect_crop_rect(
@@ -366,7 +314,7 @@ def detect_crop_rect(
 ) -> CropRect:
     """Run the full pipeline over a clip's frames and return the crop.
 
-    Sides with no surviving unified line stay at the frame boundary; a crop
+    Sides with no surviving unified depth stay at the frame boundary; a crop
     that would retain less than ``MIN_AREA_FRACTION`` of the frame (or is
     inconsistent) falls back to the full frame.
     """
@@ -390,13 +338,11 @@ def detect_crop_rect(
         binary = binarize(gray, otsu_threshold(counts))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, gray, params)
-        per_frame.append(fold_filter(cands, gray, params))
+        per_frame.append(fold_filter(cands, params))
 
-    lines = nms_unify(per_frame, shape, params)
-    left = lines.left if lines.left is not None else 0
-    top = lines.top if lines.top is not None else 0
-    right = lines.right if lines.right is not None else width
-    bottom = lines.bottom if lines.bottom is not None else height
+    depth = dict.fromkeys(SIDES, 0) | nms_unify(per_frame, params)
+    left, top = depth["left"], depth["top"]
+    right, bottom = width - depth["right"], height - depth["bottom"]
 
     full = CropRect(0, 0, width, height)
     if not (left < right and top < bottom):

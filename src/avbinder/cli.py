@@ -174,6 +174,14 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.n_val == 0:
+        unused = [flag for flag, given in (("--val-video-out", args.val_video_out),
+                                           ("--val-audio-out", args.val_audio_out),
+                                           ("--eval-every", args.eval_every > 0)) if given]
+        if unused:
+            raise _UsageError(
+                f"avbinder train: --n-val is 0, so there is no held-out split for {', '.join(unused)}"
+            )
     video = load_embeddings(args.video)
     audio = load_embeddings(args.audio)
     dataset = pair_by_id(video, audio)
@@ -289,16 +297,14 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help exits 0 through here
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except DivergenceError as exc:
         print(f"avbinder: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

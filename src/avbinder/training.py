@@ -54,7 +54,7 @@ from .binder import (
     row_dots,  # noqa: F401  unused here; perfbench's train trace wraps training.row_dots
 )
 from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, naming_file, write_atomic
-from .errors import DivergenceError, TruncatedPayloadError
+from .errors import DataFormatError, DivergenceError, TruncatedPayloadError
 from .projection import (
     HEAD_BLOCKS,
     HEAD_HYPERPARAMS,
@@ -310,11 +310,11 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
 
     hypers = []
     for key in HEAD_KEYS:
+        missing = [f"{key}.{name}" for name in HEAD_HYPERPARAMS if name not in meta.get(key, {})]
+        if missing:
+            raise DataFormatError(f"{source}: checkpoint metadata lacks {', '.join(missing)}")
         try:
-            hypers.append({
-                name: float(meta.get(key, {}).get(name, getattr(ProjectionHead, name)))
-                for name in HEAD_HYPERPARAMS
-            })
+            hypers.append({name: float(meta[key][name]) for name in HEAD_HYPERPARAMS})
         except (TypeError, ValueError, OverflowError) as exc:
             raise TruncatedPayloadError(f"{source}: bad {key} metadata") from exc
     with naming_file(source):

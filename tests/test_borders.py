@@ -36,6 +36,10 @@ def black_top_frame(height=100, width=100, band=10, fill=128):
     return img
 
 
+def candidate(side, depth, edge_fraction=1.0, outer=0.0, inner=128.0, mirror=0.0):
+    return EdgeCandidate(side, depth, edge_fraction, outer, inner, mirror)
+
+
 class TestHistogramStd:
     def test_uniform_histogram_is_zero(self):
         assert histogram_std(hist256(uniform_histogram_frame())) == 0.0
@@ -139,11 +143,12 @@ class TestExtractCandidates:
         cands = extract_edge_candidates(gx, gy, img)
         assert len(cands) == 1
         cand = cands[0]
-        assert cand.orientation == "horizontal"
-        assert cand.position == 10
+        assert cand.side == "top"
+        assert cand.depth == 10
         assert cand.edge_fraction == 1.0
         assert cand.outer_mean == 0.0  # verified: rows 0..9 are exactly black
         assert cand.inner_mean == 128.0
+        assert cand.mirror_mean == 128.0  # rows 90..99 hold the fill
 
     def test_positions_invariant_under_horizontal_mirror(self):
         img = black_top_frame(band=7, fill=150)
@@ -151,13 +156,13 @@ class TestExtractCandidates:
         gx, gy = sobel_edges(binary)
         mirrored = np.fliplr(binary).copy()
         mgx, mgy = sobel_edges(mirrored)
-        pos = [c.position for c in extract_edge_candidates(gx, gy, img) if c.orientation == "horizontal"]
-        mpos = [
-            c.position
+        rows = [c for c in extract_edge_candidates(gx, gy, img) if c.side in ("top", "bottom")]
+        mrows = [
+            c
             for c in extract_edge_candidates(mgx, mgy, np.fliplr(img).copy())
-            if c.orientation == "horizontal"
+            if c.side in ("top", "bottom")
         ]
-        assert pos == mpos
+        assert rows == mrows and rows
 
 
 class TestFoldFilter:
@@ -168,21 +173,18 @@ class TestFoldFilter:
         binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, img)
-        kept = fold_filter(cands, img)
-        assert sorted(c.position for c in kept) == [10, 90]
+        kept = fold_filter(cands)
+        assert sorted((c.side, c.depth) for c in kept) == [("bottom", 10), ("top", 10)]
 
     def test_solid_black_frame_drops_everything(self):
-        img = np.zeros((60, 60), np.uint8)
-        cands = [
-            EdgeCandidate("horizontal", 10, 1.0, 0.0, 0.0),
-            EdgeCandidate("vertical", 50, 1.0, 0.0, 0.0),
-        ]
-        assert fold_filter(cands, img) == []  # no inner/outer contrast
+        # a 60x60 all-black frame: row line 10 and column line 50
+        cands = [candidate("top", 10, inner=0.0), candidate("right", 10, inner=0.0)]
+        assert fold_filter(cands) == []  # no inner/outer contrast
 
     def test_bright_outer_strip_dropped(self):
-        img = np.full((60, 60), 128, np.uint8)
-        cands = [EdgeCandidate("horizontal", 10, 1.0, 200.0, 128.0)]
-        assert fold_filter(cands, img) == []
+        # a 60x60 frame of 128 with a bright strip above row line 10
+        cands = [candidate("top", 10, outer=200.0, mirror=128.0)]
+        assert fold_filter(cands) == []
 
     def test_one_sided_band_without_mirror_dropped(self):
         img = np.full((100, 100), 128, np.uint8)
@@ -190,35 +192,25 @@ class TestFoldFilter:
         binary = binarize(img, otsu_threshold(hist256(img)))
         gx, gy = sobel_edges(binary)
         cands = extract_edge_candidates(gx, gy, img)
-        assert fold_filter(cands, img) == []
+        assert fold_filter(cands) == []
 
 
 class TestNms:
     def test_majority_cluster_wins(self):
-        per_frame = [
-            [EdgeCandidate("horizontal", 10, 1.0, 0.0, 128.0)],
-            [EdgeCandidate("horizontal", 11, 1.0, 0.0, 128.0)],
-            [EdgeCandidate("horizontal", 10, 1.0, 0.0, 128.0)],
-        ]
-        lines = nms_unify(per_frame, (100, 100))
-        assert lines.top == 10
-        assert lines.bottom is None and lines.left is None and lines.right is None
+        per_frame = [[candidate("top", 10)], [candidate("top", 11)], [candidate("top", 10)]]
+        assert nms_unify(per_frame) == {"top": 10}
 
     def test_single_candidate_passes_through(self):
-        per_frame = [[EdgeCandidate("vertical", 93, 0.8, 2.0, 120.0)]]
-        lines = nms_unify(per_frame, (100, 100))
-        assert lines.right == 93
+        # column line 93 of a 100-column frame
+        per_frame = [[candidate("right", 7, 0.8, 2.0, 120.0)]]
+        assert nms_unify(per_frame) == {"right": 7}
 
     def test_empty_input_gives_no_lines(self):
-        lines = nms_unify([[], [], []], (100, 100))
-        assert lines == type(lines)()
+        assert nms_unify([[], [], []]) == {}
 
     def test_distant_minority_cluster_suppressed(self):
-        per_frame = [
-            [EdgeCandidate("horizontal", 10, 1.0, 0.0, 128.0)] for _ in range(5)
-        ] + [[EdgeCandidate("horizontal", 30, 1.0, 0.0, 128.0)]]
-        lines = nms_unify(per_frame, (100, 100))
-        assert lines.top == 10
+        per_frame = [[candidate("top", 10)] for _ in range(5)] + [[candidate("top", 30)]]
+        assert nms_unify(per_frame) == {"top": 10}
 
 
 class TestDetect:
@@ -269,6 +261,21 @@ class TestDetect:
             assert rotated == CropRect(
                 width - rect.right, height - rect.bottom, width - rect.left, height - rect.top
             )
+
+    @pytest.mark.parametrize(
+        "transform, expected",
+        [
+            (np.asarray, CropRect(30, 20, 165, 121)),
+            (np.flipud, CropRect(30, 23, 165, 124)),
+            (np.fliplr, CropRect(27, 20, 162, 121)),
+            (np.transpose, CropRect(20, 30, 121, 165)),
+        ],
+        ids=["identity", "flipud", "fliplr", "transpose"],
+    )
+    def test_equivariant_under_flips_and_transposition(self, transform, expected):
+        # four different bar widths, so a swapped side label moves the crop
+        frames = make_clip((20, 23, 30, 27))
+        assert detect_crop_rect([transform(f).copy() for f in frames]) == expected
 
     def test_area_floor_never_violated(self):
         for borders in [(0, 0, 0, 0), (5, 5, 0, 0), (20, 20, 20, 20), (0, 0, 40, 40)]:
@@ -407,6 +414,17 @@ def _golden_clips():
     return clips + [letterbox, pillarbox]
 
 
+def _hashed(cand, shape):
+    """The fields the golden hashes were taken over: orientation, crop line
+    (first content line on the top/left side, exclusive content bound on the
+    bottom/right), edge fraction, outer and inner mean."""
+    horizontal = cand.side in ("top", "bottom")
+    extent = shape[0] if horizontal else shape[1]
+    line = cand.depth if cand.side in ("top", "left") else extent - cand.depth
+    return ("horizontal" if horizontal else "vertical", line, cand.edge_fraction,
+            cand.outer_mean, cand.inner_mean)
+
+
 def _stage_hashes():
     def update(h, *parts):
         for part in parts:
@@ -415,9 +433,8 @@ def _stage_hashes():
                 h.update(np.ascontiguousarray(part).tobytes())
             elif isinstance(part, float):
                 h.update(part.hex().encode())
-            elif isinstance(part, EdgeCandidate):
-                update(h, part.orientation, part.position, part.edge_fraction,
-                       part.outer_mean, part.inner_mean)
+            elif isinstance(part, tuple):
+                update(h, *part)
             else:
                 h.update(repr(part).encode())
             h.update(b"|")
@@ -437,9 +454,9 @@ def _stage_hashes():
             update(hashes["otsu_threshold"], t)
             update(hashes["binarize"], binary)
             update(hashes["sobel_edges"], gx, gy)
-            update(hashes["extract_edge_candidates"], len(cands), *cands)
-            kept = fold_filter(cands, gray)
-            update(hashes["fold_filter"], len(kept), *kept)
+            update(hashes["extract_edge_candidates"], len(cands), *(_hashed(c, gray.shape) for c in cands))
+            kept = fold_filter(cands)
+            update(hashes["fold_filter"], len(kept), *(_hashed(c, gray.shape) for c in kept))
         update(hashes["detect_crop_rect"], detect_crop_rect(frames))
     return {name: h.hexdigest() for name, h in hashes.items()}
 

@@ -1,3 +1,4 @@
+import json
 import struct
 import subprocess
 import sys
@@ -109,6 +110,31 @@ class TestUsage:
         code, out, err = run([command, *required[command], flag, value], capsys)
         assert code == 1
         assert out == "" and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--val-video-out", "held.mvbe"], ["--val-audio-out", "held.mvbe"], ["--eval-every", "1"]],
+        ids=["val-video-out", "val-audio-out", "eval-every"],
+    )
+    def test_held_out_flags_need_a_split(self, workspace, tmp_path, capsys, flags):
+        # with --n-val 0 these once exited 0, writing no file and running no eval
+        flags = [str(tmp_path / f) if f.endswith(".mvbe") else f for f in flags]
+        code, out, err = run(
+            [
+                "train",
+                "--video", str(workspace["video"]),
+                "--audio", str(workspace["audio"]),
+                "--out", str(tmp_path / "m.mvbm"),
+                "--batch", "16",
+                "--epochs", "1",
+                "--n-val", "0",
+                *flags,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == "" and flags[0] in err and "--n-val" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self):
         out = subprocess.run(
@@ -302,6 +328,32 @@ class TestChain:
         assert code == 2
         assert out == "" and "bn_eps" in err
 
+
+    @pytest.mark.parametrize(
+        "key", ["video_head.bn_eps", "audio_head.dropout_p", "audio_head"]
+    )
+    def test_eval_rejects_missing_head_metadata(self, workspace, tmp_path, capsys, key):
+        # a missing hyperparameter once loaded as the head's default: with
+        # bn_eps dropped, eval exited 0 with a different Recall@K
+        blob = workspace["ckpt"].read_bytes()
+        start = blob.rindex(b'{"audio_head"')
+        meta = json.loads(blob[start:])
+        *owner, name = key.split(".")
+        del (meta[owner[0]] if owner else meta)[name]
+        text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        ckpt = tmp_path / "short_meta.mvbm"
+        ckpt.write_bytes(blob[: start - 4] + struct.pack("<I", len(text)) + text)
+        code, out, err = run(
+            [
+                "eval",
+                "--checkpoint", str(ckpt),
+                "--video", str(workspace["val_v"]),
+                "--audio", str(workspace["val_a"]),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "short_meta.mvbm" in err and key in err
 
     def test_eval_rejects_invalid_adam_moment(self, workspace, tmp_path, capsys):
         # -1.0 and NaN over the first two values of the video head's
