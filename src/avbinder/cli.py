@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--eval-every", type=_non_negative_int, default=TrainConfig.eval_every,
                    help="epochs between held-out evals")
-    p.add_argument("--k", type=_parse_k_list, default=_DEFAULT_KS)
+    p.add_argument("--k", type=_parse_k_list, default=None,
+                   help=f"Recall@K cutoffs of --eval-every (default {','.join(map(str, _DEFAULT_KS))})")
 
     p = sub.add_parser("eval", help="print a Recall@K table for a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -173,15 +174,27 @@ def _cmd_gen_synthetic(args) -> int:
     return EXIT_OK
 
 
+def _check_held_out_flags(args) -> None:
+    """Each held-out flag of train needs a split, a split needs a flag that
+    uses it, and --k needs an eval."""
+    flags = ("--val-video-out", "--val-audio-out", "--eval-every")
+    given = (args.val_video_out, args.val_audio_out, args.eval_every > 0)
+    users = [flag for flag, used in zip(flags, given) if used]
+    if args.n_val == 0 and users:
+        raise _UsageError(
+            f"avbinder train: --n-val is 0, so there is no held-out split for {', '.join(users)}"
+        )
+    if args.n_val > 0 and not users:
+        raise _UsageError(
+            f"avbinder train: --n-val {args.n_val} holds pairs out,"
+            f" but none of {', '.join(flags)} uses them"
+        )
+    if args.k is not None and args.eval_every == 0:
+        raise _UsageError("avbinder train: --k sets the Recall@K cutoffs of --eval-every, which is 0")
+
+
 def _cmd_train(args) -> int:
-    if args.n_val == 0:
-        unused = [flag for flag, given in (("--val-video-out", args.val_video_out),
-                                           ("--val-audio-out", args.val_audio_out),
-                                           ("--eval-every", args.eval_every > 0)) if given]
-        if unused:
-            raise _UsageError(
-                f"avbinder train: --n-val is 0, so there is no held-out split for {', '.join(unused)}"
-            )
+    _check_held_out_flags(args)
     video = load_embeddings(args.video)
     audio = load_embeddings(args.audio)
     dataset = pair_by_id(video, audio)
@@ -213,22 +226,20 @@ def _cmd_train(args) -> int:
 
     eval_fn = None
     if val is not None and cfg.eval_every > 0:
-        held_out = val
+        held_out, ks = val, args.k or _DEFAULT_KS
 
-        def eval_fn(m: BindModel):
-            report = recall_at_k(m, held_out, ks=args.k)
-            print(report.to_line(), file=sys.stderr)
-            return report
+        def eval_fn(m: BindModel) -> None:
+            print(recall_at_k(m, held_out, ks=ks).to_line(), file=sys.stderr)
 
-    history = train(model, dataset, cfg, state=state, eval_fn=eval_fn)
+    losses = train(model, dataset, cfg, state=state, eval_fn=eval_fn)
     save_checkpoint(model, state, args.out)
     if args.history:
         rows = (f"{step}\t{np.format_float_positional(loss, unique=True)}\n"
-                for step, loss in enumerate(history.losses, start=1))
+                for step, loss in enumerate(losses, start=1))
         write_atomic(args.history, "".join(rows).encode("utf-8"))
     print(
-        f"trained {len(history.losses)} steps on {dataset.count} pairs,"
-        f" final loss {history.losses[-1]:.6f}, checkpoint {args.out}",
+        f"trained {len(losses)} steps on {dataset.count} pairs,"
+        f" final loss {losses[-1]:.6f}, checkpoint {args.out}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -6,8 +6,11 @@ Architecture, applied row-wise to a batch::
 
 Batch norm uses biased batch statistics (divisor N) in training and running
 statistics at evaluation; dropout is inverted (survivors scaled by 1/(1-p))
-so evaluation is the identity. The backward pass is exact, including the
-dependence of the batch mean/variance on the inputs.
+so evaluation is the identity. ReLU and dropout together multiply the
+batch-norm output by one gate: the ReLU mask, which a training forward with
+dropout also multiplies by the keep mask and 1/(1-p). Backward multiplies
+the upstream gradient by the same gate. The backward pass is exact,
+including the dependence of the batch mean/variance on the inputs.
 
 Parameters are stored in the head's dtype (float32 by default), and all
 forward, backward and optimizer arithmetic runs in that dtype: the input
@@ -89,24 +92,10 @@ class ForwardCache:
     """Everything a training-mode backward pass needs, nothing recomputed."""
 
     x: np.ndarray
-    batch_mean: np.ndarray
-    batch_var: np.ndarray
     x_hat: np.ndarray
-    relu_mask: np.ndarray
-    dropout_mask: np.ndarray | None
-    dropout_scale: float
+    batch_var: np.ndarray
+    gate: np.ndarray  # d dropped / d z: bool ReLU mask, or with dropout (mask & keep) / (1-p)
     dropped: np.ndarray  # the activations fed to linear-2
-    bn_eps: float
-
-
-@dataclass
-class HeadGradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
 
 
 def init_head(
@@ -134,20 +123,6 @@ def init_head(
         b2=np.zeros(d_out, dtype),
         dropout_p=dropout_p,
     )
-
-
-def inverted_dropout(
-    x: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Zero each unit with probability p, scale survivors by 1/(1-p).
-
-    Returns (output, keep_mask, scale). E[output] equals x.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must be in [0, 1)")
-    mask = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    return x * mask * scale, mask, scale
 
 
 def head_forward(
@@ -182,42 +157,32 @@ def head_forward(
     x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
 
     z = head.bn_gamma * x_hat + head.bn_beta
-    relu_mask = z > 0
-    hidden = z * relu_mask
-
+    gate = z > 0  # bool unless dropout scales it: eval allocates one byte per unit
     if training and head.dropout_p > 0.0:
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
-        dropped, mask, scale = inverted_dropout(hidden, head.dropout_p, rng)
-    else:
-        dropped, mask, scale = hidden, None, 1.0
+        keep = rng.random(z.shape) >= head.dropout_p
+        gate = (gate & keep) * head.dtype.type(1.0 / (1.0 - head.dropout_p))
+    dropped = z * gate
 
     y = dropped @ head.w2 + head.b2
     if not training:
         return y, None
-    cache = ForwardCache(
-        x=x,
-        batch_mean=batch_mean,
-        batch_var=batch_var,
-        x_hat=x_hat,
-        relu_mask=relu_mask,
-        dropout_mask=mask,
-        dropout_scale=scale,
-        dropped=dropped,
-        bn_eps=head.bn_eps,
-    )
-    return y, cache
+    return y, ForwardCache(x=x, x_hat=x_hat, batch_var=batch_var, gate=gate, dropped=dropped)
 
 
 def head_backward(
     head: ProjectionHead, cache: ForwardCache, dy: np.ndarray
-) -> HeadGradients:
+) -> dict[str, np.ndarray]:
     """Exact gradients of sum(loss) with respect to the head's parameters,
-    replaying the dropout mask recorded in the cache. The input batch gets
-    no gradient: the features it holds are frozen.
+    keyed by ``PARAM_FIELDS``. The gradient reaches the batch-norm output
+    through the cached gate, the same ReLU-and-dropout factor the forward
+    pass applied. The input batch gets no gradient: the features it holds
+    are frozen.
 
-    Reads ``bn_gamma`` and ``w2`` from ``head``, so the head must not have
-    been updated since the forward pass that filled ``cache``."""
+    Reads ``bn_gamma``, ``bn_eps`` and ``w2`` from ``head``, so the head
+    must not have been updated since the forward pass that filled
+    ``cache``."""
     dy = np.asarray(dy, dtype=head.dtype)
     n = cache.x_hat.shape[0]
     if dy.shape != (n, head.d_out):
@@ -228,19 +193,14 @@ def head_backward(
     db2 = dy.sum(axis=0)
     dw2 = cache.dropped.T @ dy
     d_dropped = dy @ head.w2.T
-
-    if cache.dropout_mask is not None:
-        d_hidden = d_dropped * cache.dropout_mask * cache.dropout_scale
-    else:
-        d_hidden = d_dropped
-    dz = d_hidden * cache.relu_mask
+    dz = d_dropped * cache.gate
 
     dgamma = (dz * cache.x_hat).sum(axis=0)
     dbeta = dz.sum(axis=0)
 
     # Batch-norm backward through the batch statistics.
     dx_hat = dz * head.bn_gamma
-    inv_std = 1.0 / np.sqrt(cache.batch_var + cache.bn_eps)
+    inv_std = 1.0 / np.sqrt(cache.batch_var + head.bn_eps)
     d_pre = (inv_std / n) * (
         n * dx_hat
         - dx_hat.sum(axis=0)
@@ -249,16 +209,15 @@ def head_backward(
 
     db1 = d_pre.sum(axis=0)
     dw1 = cache.x.T @ d_pre
-    return HeadGradients(w1=dw1, b1=db1, bn_gamma=dgamma, bn_beta=dbeta, w2=dw2, b2=db2)
+    return {"w1": dw1, "b1": db1, "bn_gamma": dgamma, "bn_beta": dbeta, "w2": dw2, "b2": db2}
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the step counter."""
+    """First/second moment estimates per parameter, keyed by ``PARAM_FIELDS``."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    t: int = 0
 
     def __post_init__(self) -> None:
         for kind in ("m", "v"):
@@ -312,16 +271,9 @@ def adam_step(
 
 
 def apply_update(
-    head: ProjectionHead, grads: HeadGradients, opt_state: AdamState, lr: float
+    head: ProjectionHead, grads: dict[str, np.ndarray], moments: AdamState, t: int, lr: float
 ) -> None:
-    """Adam-update every parameter in place; running stats are untouched."""
-    opt_state.t += 1
+    """Adam-update every parameter in place as step ``t`` (1-based);
+    running stats are untouched."""
     for name in PARAM_FIELDS:
-        adam_step(
-            getattr(head, name),
-            getattr(grads, name),
-            opt_state.m[name],
-            opt_state.v[name],
-            opt_state.t,
-            lr,
-        )
+        adam_step(getattr(head, name), grads[name], moments.m[name], moments.v[name], t, lr)

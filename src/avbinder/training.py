@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -60,7 +59,6 @@ from .projection import (
     HEAD_HYPERPARAMS,
     PARAM_FIELDS,
     AdamState,
-    HeadGradients,
     ProjectionHead,
     apply_update,
     head_backward,
@@ -103,25 +101,15 @@ class TrainConfig:
 
 
 @dataclass
-class TrainHistory:
-    losses: list[float] = field(default_factory=list)
-    evals: list[tuple[int, object]] = field(default_factory=list)  # (step, report)
-    epoch_seconds: list[float] = field(default_factory=list)
-
-
-@dataclass
 class TrainState:
-    """Optimizer moments for both heads plus bookkeeping that rides along
-    in checkpoints."""
+    """Adam moments for both heads, the step counter they share, and
+    bookkeeping that rides along in checkpoints."""
 
     video_opt: AdamState
     audio_opt: AdamState
+    step: int = 0  # optimizer steps taken; Adam's bias correction reads it
     seed: int = 0
     config: dict = field(default_factory=dict)
-
-    @property
-    def step(self) -> int:
-        return self.video_opt.t
 
     @classmethod
     def for_model(cls, model: BindModel, seed: int = 0, config: dict | None = None) -> "TrainState":
@@ -138,7 +126,7 @@ def contrastive_loss_and_grads(
     xv: np.ndarray,
     xa: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[float, HeadGradients, HeadGradients]:
+) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Training-mode forward through both heads and the full exact backward.
 
     Draws the video dropout mask first, then the audio one, from ``rng``.
@@ -178,8 +166,9 @@ def train_step(
         raise DivergenceError(
             f"training diverged at step {state.step + 1}: loss={loss!r}"
         )
-    apply_update(model.video_head, grads_v, state.video_opt, lr)
-    apply_update(model.audio_head, grads_a, state.audio_opt, lr)
+    state.step += 1
+    apply_update(model.video_head, grads_v, state.video_opt, state.step, lr)
+    apply_update(model.audio_head, grads_a, state.audio_opt, state.step, lr)
     return loss
 
 
@@ -188,9 +177,10 @@ def train(
     dataset: PairedDataset,
     cfg: TrainConfig,
     state: TrainState | None = None,
-    eval_fn: Callable[[BindModel], object] | None = None,
-) -> TrainHistory:
-    """Train in place for ``cfg.epochs`` epochs of floor(count/batch) steps.
+    eval_fn: Callable[[BindModel], None] | None = None,
+) -> list[float]:
+    """Train in place for ``cfg.epochs`` epochs of floor(count/batch) steps
+    and return the per-step losses, each taken before its update.
 
     ``eval_fn`` (if given, together with ``cfg.eval_every``) is called with
     the model every few epochs; train itself never sees validation pairs.
@@ -206,24 +196,21 @@ def train(
     rng_shuffle = spawn_rng(cfg.seed, "shuffle")
     rng_dropout = spawn_rng(cfg.seed, "dropout")
 
-    history = TrainHistory()
+    losses = []
     steps_per_epoch = dataset.count // cfg.batch_size
     xv_all = dataset.video.data
     xa_all = dataset.audio.data
     for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
         if cfg.shuffle:
             order = rng_shuffle.permutation(dataset.count)
         else:
             order = np.arange(dataset.count)
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            loss = train_step(model, xv_all[idx], xa_all[idx], state, cfg.lr, rng_dropout)
-            history.losses.append(loss)
-        history.epoch_seconds.append(time.perf_counter() - started)
+            losses.append(train_step(model, xv_all[idx], xa_all[idx], state, cfg.lr, rng_dropout))
         if eval_fn is not None and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:
-            history.evals.append((state.step, eval_fn(model)))
-    return history
+            eval_fn(model)
+    return losses
 
 
 def gen_synthetic(
@@ -257,8 +244,6 @@ def save_checkpoint(model: BindModel, state: TrainState, path) -> None:
     heads = (model.video_head, model.audio_head)
     if any(head.dtype != np.float32 for head in heads):
         raise ValueError("checkpoint format stores float32 heads only")
-    if state.video_opt.t != state.audio_opt.t:
-        raise ValueError("optimizer step counters out of sync")
     meta = {key: {name: getattr(head, name) for name in HEAD_HYPERPARAMS}
             for key, head in zip(HEAD_KEYS, heads)}
     meta["config"] = state.config
@@ -321,8 +306,9 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
         video_head, audio_head = (ProjectionHead(**b, **h) for b, h in zip(heads, hypers))
         model = BindModel(video_head=video_head, audio_head=audio_head, temperature=tau)
         state = TrainState(
-            video_opt=AdamState(m=m[0], v=v[0], t=step),
-            audio_opt=AdamState(m=m[1], v=v[1], t=step),
+            video_opt=AdamState(m=m[0], v=v[0]),
+            audio_opt=AdamState(m=m[1], v=v[1]),
+            step=step,
             seed=seed,
             config=meta.get("config", {}),
         )

@@ -250,12 +250,12 @@ def reference_train_step(model, xv, xa, state, lr, rng) -> float:
     d_ya = normalize_backward(ya, g_scores.T @ u)
     grads_v = reference_head_backward(model.video_head, cache_v, d_yv)
     grads_a = reference_head_backward(model.audio_head, cache_a, d_ya)
+    state.step += 1
     for head, grads, opt in ((model.video_head, grads_v, state.video_opt),
                              (model.audio_head, grads_a, state.audio_opt)):
-        opt.t += 1
         for name, grad in grads.items():
             param = getattr(head, name)
-            new_p, new_m, new_v = reference_adam_step(param, grad, opt.m[name], opt.v[name], opt.t, lr)
+            new_p, new_m, new_v = reference_adam_step(param, grad, opt.m[name], opt.v[name], state.step, lr)
             param[...] = new_p.astype(head.dtype)
             opt.m[name][...] = new_m.astype(opt.m[name].dtype)
             opt.v[name][...] = new_v.astype(opt.v[name].dtype)

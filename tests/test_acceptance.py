@@ -75,7 +75,7 @@ def test_criterion_1_end_to_end_gradients():
     worst = 0.0
     for side, grads in (("video_head", grads_v), ("audio_head", grads_a)):
         for name in PARAM_FIELDS:
-            analytic = getattr(grads, name)
+            analytic = grads[name]
             fd = np.zeros_like(analytic)
             it = np.nditer(analytic, flags=["multi_index"])
             for _ in it:

@@ -112,12 +112,20 @@ class TestUsage:
         assert out == "" and flag in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--val-video-out", "held.mvbe"], ["--val-audio-out", "held.mvbe"], ["--eval-every", "1"]],
-        ids=["val-video-out", "val-audio-out", "eval-every"],
+        "flags, named",
+        [
+            (["--n-val", "0", "--val-video-out", "held.mvbe"], ["--val-video-out", "--n-val"]),
+            (["--n-val", "0", "--val-audio-out", "held.mvbe"], ["--val-audio-out", "--n-val"]),
+            (["--n-val", "0", "--eval-every", "1"], ["--eval-every", "--n-val"]),
+            (["--n-val", "20"], ["--n-val", "--val-video-out", "--val-audio-out", "--eval-every"]),
+            (["--k", "3"], ["--k", "--eval-every"]),
+            (["--n-val", "20", "--val-video-out", "held.mvbe", "--k", "3"], ["--k", "--eval-every"]),
+        ],
+        ids=["val-video-out", "val-audio-out", "eval-every", "n-val-unused", "k", "k-without-eval"],
     )
-    def test_held_out_flags_need_a_split(self, workspace, tmp_path, capsys, flags):
-        # with --n-val 0 these once exited 0, writing no file and running no eval
+    def test_held_out_flags_need_a_split(self, workspace, tmp_path, capsys, flags, named):
+        # each once exited 0 and ignored a flag: a held-out flag with no
+        # split, a split that nothing used, or --k with no eval to cut
         flags = [str(tmp_path / f) if f.endswith(".mvbe") else f for f in flags]
         code, out, err = run(
             [
@@ -127,13 +135,12 @@ class TestUsage:
                 "--out", str(tmp_path / "m.mvbm"),
                 "--batch", "16",
                 "--epochs", "1",
-                "--n-val", "0",
                 *flags,
             ],
             capsys,
         )
         assert code == 1
-        assert out == "" and flags[0] in err and "--n-val" in err
+        assert out == "" and all(flag in err for flag in named), err
         assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self):

@@ -1,4 +1,5 @@
-"""The declared runtime dependencies are exactly what the package imports."""
+"""The declared runtime dependencies are exactly what the package imports,
+and the package uses every name it imports."""
 
 import ast
 import re
@@ -57,3 +58,36 @@ def test_dependencies_match_third_party_imports():
         _canonical(m) for m in imported if m not in sys.stdlib_module_names and m != PACKAGE.name
     }
     assert declared_names == third_party
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, except an alias whose own
+    line carries ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(name)
+    return unused
+
+
+def test_unused_import_scan_sees_leftovers():
+    source = "from x import (\n    a,\n    b,  # noqa: F401\n    c,\n)\nimport d.e\nimport f\n\nf(a)\n"
+    assert _unused_imports(source) == ["c", "d"]
+
+
+def test_package_has_no_unused_imports():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
