@@ -19,6 +19,15 @@ the loss and its gradient, so their bits need not match search's. Search
 (:mod:`avbinder.retrieval`) screens with a BLAS product too and calls these
 two only where the GEMM score cannot settle the order; every score it
 returns is still the ``row_dots`` value.
+
+:func:`project_video` and :func:`project_audio` run the eval-mode forward
+in blocks of a fixed 256 rows and zero-pad the last block to 256, so every
+row goes through a GEMM of the same shape whatever the row count of its
+file. A BLAS may compute a 1-row product with other bits than a 256-row
+one; with fixed blocks a row's projection, and every score printed from it,
+is the same alone or inside a larger file. The blocks also bound the
+forward's intermediates to 256 rows, so only the output grows with the
+input.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ NORM_FLOOR = 1e-12
 DEFAULT_TEMPERATURE = 0.07
 
 _DOT_CHUNK_ELEMS = 4_000_000  # cap the (rows x cols x dim) temporary
+_EVAL_BLOCK_ROWS = 256  # rows per eval-mode GEMM; the last block is zero-padded
 
 
 @dataclass
@@ -155,13 +165,31 @@ def info_nce_backward(s, tau: float) -> np.ndarray:
     return (p_row + p_col - 2.0 * eye) / (2.0 * n * tau)
 
 
+def _project(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
+    """Eval-mode forward of ``x`` in blocks of ``_EVAL_BLOCK_ROWS`` rows,
+    the last one zero-padded, into one array of the head's dtype."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != head.d_in:
+        raise ValueError(f"expected a non-empty batch of shape (N, {head.d_in}), got {x.shape}")
+    n, rows = x.shape[0], _EVAL_BLOCK_ROWS
+    y = np.empty((n, head.d_out), dtype=head.dtype)
+    for start in range(0, n, rows):
+        block = x[start : start + rows]
+        if len(block) < rows:
+            padded = np.zeros((rows, head.d_in), dtype=head.dtype)
+            padded[: len(block)] = block
+            block = padded
+        # through the module global, so a wrapped head_forward sees each block
+        out, _ = head_forward(head, block, training=False)
+        y[start : start + rows] = out[: n - start]
+    return y
+
+
 def project_video(model: BindModel, x: np.ndarray) -> np.ndarray:
     """Eval-mode projection of raw video features."""
-    y, _ = head_forward(model.video_head, x, training=False)
-    return y
+    return _project(model.video_head, x)
 
 
 def project_audio(model: BindModel, x: np.ndarray) -> np.ndarray:
     """Eval-mode projection of raw audio features."""
-    y, _ = head_forward(model.audio_head, x, training=False)
-    return y
+    return _project(model.audio_head, x)

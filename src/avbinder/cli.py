@@ -176,7 +176,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _check_held_out_flags(args) -> None:
     """Each held-out flag of train needs a split, a split needs a flag that
-    uses it, and --k needs an eval."""
+    uses it, --k needs an eval, and an eval needs an epoch to run after."""
     flags = ("--val-video-out", "--val-audio-out", "--eval-every")
     given = (args.val_video_out, args.val_audio_out, args.eval_every > 0)
     users = [flag for flag, used in zip(flags, given) if used]
@@ -191,6 +191,11 @@ def _check_held_out_flags(args) -> None:
         )
     if args.k is not None and args.eval_every == 0:
         raise _UsageError("avbinder train: --k sets the Recall@K cutoffs of --eval-every, which is 0")
+    if args.eval_every > args.epochs:
+        raise _UsageError(
+            f"avbinder train: --eval-every {args.eval_every} exceeds --epochs {args.epochs},"
+            " so no held-out eval would run"
+        )
 
 
 def _cmd_train(args) -> int:
@@ -258,22 +263,27 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _load_projected(path, project, model: BindModel) -> EmbeddingMatrix:
+    """The rows of ``path`` after eval-mode ``project``; the raw rows are
+    dropped on return, so they never sit beside the index."""
+    raw = load_embeddings(path)
+    return EmbeddingMatrix(ids=raw.ids, data=project(model, raw.data))
+
+
 def _cmd_retrieve(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    queries = load_embeddings(args.queries)
-    candidates = load_embeddings(args.candidates)
     project_query, project_cand = (
         (project_video, project_audio) if args.direction == "v2a" else (project_audio, project_video)
     )
-    y_query = project_query(model, queries.data)
-    index = build_index(EmbeddingMatrix(ids=candidates.ids, data=project_cand(model, candidates.data)))
+    queries = _load_projected(args.queries, project_query, model)
+    index = build_index(_load_projected(args.candidates, project_cand, model))
     if args.query_id is not None:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
         i = queries.ids.index(args.query_id)
-        results = [retrieve_topk(index, y_query[i], args.k, query_id=args.query_id)]
+        results = [retrieve_topk(index, queries.data[i], args.k, query_id=args.query_id)]
     else:
-        results = retrieve_topk_batch(index, y_query, args.k, queries.ids)
+        results = retrieve_topk_batch(index, queries.data, args.k, queries.ids)
     for result in results:
         for rank, (cand_id, score) in enumerate(result.items, start=1):
             print(f"{result.query_id}\t{rank}\t{cand_id}\t{score:.6f}")

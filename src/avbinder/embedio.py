@@ -18,8 +18,13 @@ no header. Values are written with the shortest decimal that round-trips to
 the same float32, so text round trips are bit-exact too.
 
 Readers check each declared length against the file before allocating, and
-fail with a ``DataFormatError`` naming the file. Writers are atomic and
-byte-deterministic: the same matrix always serializes to the same bytes.
+fail with a ``DataFormatError`` naming the file. The binary reader streams:
+it reads the header, takes the id section's length as what the declared
+payload leaves of the file, reads the ids, then reads the payload straight
+into one preallocated float32 array. It never holds the file's bytes and a
+copy of its payload together, so loading peaks at about the payload's size.
+Writers are atomic and byte-deterministic: the same matrix always
+serializes to the same bytes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .errors import (
 MAGIC = b"MVBE"
 FORMAT_VERSION = 1
 MAX_ID_BYTES = 0xFFFF  # id length is stored as uint16
+_HEADER_BYTES = 20  # magic, version, dim, count
 
 
 class BinaryReader:
@@ -117,6 +123,12 @@ def write_atomic(path, blob: bytes) -> None:
         raise
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    """Whether every value is finite, without a temporary the size of
+    ``data``: ``min`` and ``max`` propagate a NaN and surface an infinity."""
+    return data.size == 0 or bool(np.isfinite(data.min()) and np.isfinite(data.max()))
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Named rows of fixed-dimension float32 vectors, immutable once built."""
@@ -137,7 +149,7 @@ class EmbeddingMatrix:
             )
         if len(set(ids)) != len(ids):
             raise DuplicateIdError("duplicate id in embedding matrix")
-        if not np.isfinite(data).all():
+        if not _all_finite(data):
             raise NonFiniteValueError("non-finite value in embedding matrix")
         for item_id in ids:
             if len(item_id.encode("utf-8")) > MAX_ID_BYTES:
@@ -210,21 +222,32 @@ def _encode_binary(m: EmbeddingMatrix) -> bytes:
     return b"".join(parts)
 
 
-def _decode_binary(blob: bytes, source: str) -> EmbeddingMatrix:
-    reader = BinaryReader(blob, source)
-    reader.expect(MAGIC, FORMAT_VERSION)
-    dim, count = reader.unpack("<IQ")
-    if dim < 1:
-        raise DataFormatError(f"{source}: dim must be positive")
-    ids: list[str] = []
-    for _ in range(count):
-        (id_len,) = reader.unpack("<H")
-        try:
-            ids.append(reader.take(id_len).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
-    data = reader.array((count, dim))
-    reader.finish()
+def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        reader = BinaryReader(fh.read(_HEADER_BYTES), source)
+        reader.expect(MAGIC, FORMAT_VERSION)
+        dim, count = reader.unpack("<IQ")
+        if dim < 1:
+            raise DataFormatError(f"{source}: dim must be positive")
+        payload_bytes = 4 * count * dim
+        if _HEADER_BYTES + payload_bytes > size:
+            raise TruncatedPayloadError(
+                f"{source}: truncated, {payload_bytes} payload bytes declared in a {size}-byte file"
+            )
+        # the id section is what the payload leaves after the header
+        reader.blob += fh.read(size - _HEADER_BYTES - payload_bytes)
+        ids: list[str] = []
+        for _ in range(count):
+            (id_len,) = reader.unpack("<H")
+            try:
+                ids.append(reader.take(id_len).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
+        reader.finish()
+        data = np.empty((count, dim), "<f4")
+        if fh.readinto(data) != payload_bytes:
+            raise TruncatedPayloadError(f"{source}: truncated while it was read")
     with naming_file(source):
         return EmbeddingMatrix(ids=tuple(ids), data=data)
 
@@ -282,7 +305,7 @@ def save_embeddings(m: EmbeddingMatrix, path) -> None:
     path = Path(path)
     # Matrices are validated on construction, but arrays can be poked at
     # afterwards; re-check before any bytes hit the disk.
-    if not np.isfinite(m.data).all():
+    if not _all_finite(m.data):
         raise NonFiniteValueError("non-finite value in embedding matrix")
     if path.suffix == ".tsv":
         blob = _encode_tsv(m)
@@ -294,10 +317,9 @@ def save_embeddings(m: EmbeddingMatrix, path) -> None:
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read an embedding matrix from ``path``; format chosen by extension."""
     path = Path(path)
-    blob = path.read_bytes()
     if path.suffix == ".tsv":
-        return _decode_tsv(blob, path.name)
-    return _decode_binary(blob, path.name)
+        return _decode_tsv(path.read_bytes(), path.name)
+    return _load_binary(path, path.name)
 
 
 def pair_by_id(video: EmbeddingMatrix, audio: EmbeddingMatrix) -> PairedDataset:

@@ -43,6 +43,7 @@ DIRECTION_A2V = "audio-to-video"
 DIRECTIONS = (DIRECTION_V2A, DIRECTION_A2V)
 
 _BLOCK_SCORES = 1 << 20  # GEMM scores per block of query rows (8 MB)
+_NORMALIZE_BLOCK_ROWS = 256  # rows per block when building an index
 
 
 def _screen_margin(dim: int, scale: float = 1.0) -> float:
@@ -116,8 +117,16 @@ class RecallReport:
 
 
 def build_index(m: EmbeddingMatrix) -> RetrievalIndex:
-    """Normalize projected embeddings into an immutable search index."""
-    return RetrievalIndex(ids=m.ids, vectors=l2_normalize_rows(m.data))
+    """Normalize projected embeddings into an immutable search index.
+
+    Rows are normalized in blocks straight into the float64 index, so no
+    float64 copy of the whole input is made; normalization is row-wise, so
+    the bits are those of one whole-matrix call."""
+    vectors = np.empty(m.data.shape, dtype=np.float64)
+    for start in range(0, m.count, _NORMALIZE_BLOCK_ROWS):
+        stop = start + _NORMALIZE_BLOCK_ROWS
+        vectors[start:stop] = l2_normalize_rows(m.data[start:stop])
+    return RetrievalIndex(ids=m.ids, vectors=vectors)
 
 
 def _screen_topk(idx: RetrievalIndex, nq: np.ndarray, k: int) -> np.ndarray:
@@ -147,19 +156,19 @@ def _rank_candidates(
 def retrieve_topk_batch(
     idx: RetrievalIndex, queries: np.ndarray, k: int, query_ids: tuple[str, ...]
 ) -> list[RetrievalResult]:
-    """:func:`retrieve_topk` for every row of ``queries``, screened in
-    blocks of query rows."""
+    """:func:`retrieve_topk` for every row of ``queries``, normalized and
+    screened in blocks of query rows."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if idx.count == 0:
         raise ValueError("empty index")
-    nq = l2_normalize_rows(np.asarray(queries, dtype=np.float64))
-    if nq.shape[0] != len(query_ids):
-        raise ValueError("queries and query ids must have matching counts")
+    queries = np.asarray(queries)
+    if queries.ndim != 2 or queries.shape[0] != len(query_ids):
+        raise ValueError("queries must be one row per query id")
     results = []
     step = max(1, _BLOCK_SCORES // idx.count)
-    for start in range(0, nq.shape[0], step):
-        block = nq[start : start + step]
+    for start in range(0, queries.shape[0], step):
+        block = l2_normalize_rows(queries[start : start + step])
         keep = _screen_topk(idx, block, k)
         for r in range(block.shape[0]):
             cand = np.flatnonzero(keep[r])

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import avbinder.binder as binder
 from avbinder.binder import (
     BindModel,
     info_nce_backward,
     info_nce_loss,
     l2_normalize_rows,
     pair_dots,
+    project_audio,
+    project_video,
     row_dots,
     _diag_cross_entropy,
 )
@@ -230,3 +233,48 @@ class TestBindModel:
                 audio_head=init_head(1, 8, 6, 5),
                 temperature=0.07,
             )
+
+
+class TestEvalProjection:
+    @pytest.fixture(scope="class")
+    def model_and_rows(self):
+        model = BindModel(video_head=init_head(1, 1024, 512, 256), audio_head=init_head(2, 1024, 512, 256))
+        x = np.random.default_rng(3).standard_normal((1000, 1024)).astype(np.float32)
+        return model, x, project_video(model, x)
+
+    @pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 1000])
+    def test_rows_do_not_depend_on_batch_size(self, model_and_rows, n):
+        # a BLAS once gave 1- to 7-row products other bits than larger ones,
+        # so a row's projection depended on the row count of its file
+        model, x, whole = model_and_rows
+        assert project_video(model, x[:n]).tobytes() == whole[:n].tobytes()
+
+    def test_row_alone_matches_its_row_in_a_batch(self, model_and_rows):
+        model, x, whole = model_and_rows
+        for i in (0, 5, 300, 999):
+            assert project_video(model, x[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+
+    def test_every_block_goes_through_head_forward_at_one_shape(self, monkeypatch):
+        model = BindModel(video_head=init_head(1, 16, 8, 4), audio_head=init_head(2, 16, 8, 4))
+        shapes = []
+        real = binder.head_forward
+
+        def spy(head, x, training, rng=None):
+            shapes.append((x.shape, training))
+            return real(head, x, training, rng)
+
+        monkeypatch.setattr(binder, "head_forward", spy)
+        x = np.random.default_rng(0).standard_normal((600, 16)).astype(np.float32)
+        y = project_audio(model, x)
+        assert shapes == [((256, 16), False)] * 3
+        assert y.shape == (600, 4) and y.dtype == np.float32
+
+    def test_float64_input_projects_as_its_float32_cast(self, model_and_rows):
+        model, x, whole = model_and_rows
+        assert project_video(model, x[:300].astype(np.float64)).tobytes() == whole[:300].tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 1024), (3, 1023), (1024,)])
+    def test_bad_batch_shape_rejected(self, model_and_rows, shape):
+        model = model_and_rows[0]
+        with pytest.raises(ValueError, match="shape"):
+            project_video(model, np.zeros(shape, np.float32))

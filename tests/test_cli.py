@@ -9,10 +9,11 @@ import pytest
 from helpers import make_clip
 
 from avbinder import pnm
+from avbinder.binder import BindModel
 from avbinder.cli import run_cli
-from avbinder.embedio import load_embeddings
-from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS
-from avbinder.training import load_checkpoint
+from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
+from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS, init_head
+from avbinder.training import TrainState, load_checkpoint, save_checkpoint
 
 
 def run(argv, capsys):
@@ -120,12 +121,17 @@ class TestUsage:
             (["--n-val", "20"], ["--n-val", "--val-video-out", "--val-audio-out", "--eval-every"]),
             (["--k", "3"], ["--k", "--eval-every"]),
             (["--n-val", "20", "--val-video-out", "held.mvbe", "--k", "3"], ["--k", "--eval-every"]),
+            (["--n-val", "20", "--eval-every", "2"], ["--eval-every", "--epochs"]),
         ],
-        ids=["val-video-out", "val-audio-out", "eval-every", "n-val-unused", "k", "k-without-eval"],
+        ids=[
+            "val-video-out", "val-audio-out", "eval-every", "n-val-unused", "k", "k-without-eval",
+            "eval-every-past-epochs",
+        ],
     )
     def test_held_out_flags_need_a_split(self, workspace, tmp_path, capsys, flags, named):
         # each once exited 0 and ignored a flag: a held-out flag with no
-        # split, a split that nothing used, or --k with no eval to cut
+        # split, a split that nothing used, --k with no eval to cut, or an
+        # eval interval longer than the run
         flags = [str(tmp_path / f) if f.endswith(".mvbe") else f for f in flags]
         code, out, err = run(
             [
@@ -385,6 +391,40 @@ class TestChain:
         )
         assert code == 2
         assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
+
+
+class TestRetrieveRowIndependence:
+    def test_query_alone_prints_its_lines_from_the_full_file(self, tmp_path, capsys):
+        # A query alone in a 1-row file once printed other scores than the
+        # same row inside a larger file (99 of 3000 lines here), because the
+        # BLAS projected a 1-row batch with other bits. 260 rows put the
+        # last four in a second, padded block.
+        model = BindModel(video_head=init_head(1, 64, 32, 16), audio_head=init_head(2, 64, 32, 16))
+        save_checkpoint(model, TrainState.for_model(model, seed=0, config={}), tmp_path / "m.mvbm")
+        rng = np.random.default_rng(0)
+        queries = EmbeddingMatrix(
+            tuple(f"q{i:03d}" for i in range(260)), rng.standard_normal((260, 64)).astype(np.float32)
+        )
+        library = EmbeddingMatrix(
+            tuple(f"c{i:03d}" for i in range(64)), rng.standard_normal((64, 64)).astype(np.float32)
+        )
+        save_embeddings(queries, tmp_path / "q.mvbe")
+        save_embeddings(library, tmp_path / "c.mvbe")
+
+        def retrieve(path):
+            code, out, _ = run(
+                ["retrieve", "--checkpoint", str(tmp_path / "m.mvbm"), "--queries", str(path),
+                 "--candidates", str(tmp_path / "c.mvbe"), "--k", "10"],
+                capsys,
+            )
+            assert code == 0
+            return out
+
+        whole = retrieve(tmp_path / "q.mvbe").splitlines(keepends=True)
+        assert len(whole) == 10 * queries.count
+        for i in range(queries.count):
+            save_embeddings(queries.take([i]), tmp_path / "one.mvbe")
+            assert retrieve(tmp_path / "one.mvbe") == "".join(whole[10 * i : 10 * i + 10]), queries.ids[i]
 
 
 class TestReproducibility:

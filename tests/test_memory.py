@@ -1,0 +1,86 @@
+"""The search path's transient memory does not grow with the library.
+
+numpy reports its array allocations to ``tracemalloc``, so the traced peak
+of a call, less what was live before it, is what the call held at its
+worst: its result plus every temporary.
+"""
+
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from avbinder.binder import BindModel, project_audio
+from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
+from avbinder.errors import TruncatedPayloadError
+from avbinder.projection import init_head
+from avbinder.retrieval import build_index
+
+MB = 1 << 20
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes held during ``fn(*args)`` beyond those live before)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_load_embeddings_peaks_near_the_payload(tmp_path):
+    rng = np.random.default_rng(0)
+    m = EmbeddingMatrix(tuple(f"trk-{i:05d}" for i in range(4000)), rng.standard_normal((4000, 1024)).astype(np.float32))
+    save_embeddings(m, tmp_path / "lib.mvbe")
+    del m
+    loaded, peak = traced_peak(load_embeddings, tmp_path / "lib.mvbe")
+    payload = loaded.data.nbytes
+    assert loaded.count == 4000
+    # the whole file and a copy of its payload together were twice this
+    assert peak <= payload * 1.1 + MB, (peak, payload)
+
+
+def test_declared_payload_past_the_end_fails_before_allocating(tmp_path):
+    m = EmbeddingMatrix(("a", "b"), np.ones((2, 3), np.float32))
+    save_embeddings(m, tmp_path / "m.mvbe")
+    blob = bytearray((tmp_path / "m.mvbe").read_bytes())
+    blob[12:20] = struct.pack("<Q", 2**40)
+    (tmp_path / "m.mvbe").write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match="m.mvbe"):
+            load_embeddings(tmp_path / "m.mvbe")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MB
+
+
+@pytest.fixture(scope="module")
+def model():
+    return BindModel(video_head=init_head(1, 1024, 512, 256), audio_head=init_head(2, 1024, 512, 256))
+
+
+def test_projection_temporaries_do_not_grow_with_rows(model):
+    x = np.random.default_rng(1).standard_normal((8192, 1024)).astype(np.float32)
+    extra = {}
+    for n in (2048, 8192):
+        y, peak = traced_peak(project_audio, model, x[:n])
+        extra[n] = peak - y.nbytes
+    # whole-matrix projection held several n x 512 intermediates
+    assert extra[8192] <= extra[2048] + 64 * 1024, extra
+
+
+def test_build_index_temporaries_do_not_grow_with_rows():
+    rng = np.random.default_rng(2)
+    extra = {}
+    for n in (2048, 8192):
+        m = EmbeddingMatrix(tuple(map(str, range(n))), rng.standard_normal((n, 256)).astype(np.float32))
+        index, peak = traced_peak(build_index, m)
+        extra[n] = peak - index.vectors.nbytes
+    # whole-matrix normalization held a float64 copy and its square
+    assert extra[8192] <= extra[2048] + 64 * 1024, extra
