@@ -10,15 +10,15 @@ with S the NxN cosine matrix whose diagonal holds the true pairs,
 Softmaxes are computed with max subtraction, so small temperatures do not
 overflow.
 
-:func:`row_dots` is the exact reference dot product: an elementwise product
+:func:`row_dots` is the one exact dot product: an elementwise product
 followed by numpy's pairwise sum over each row, so a score's bits do not
-depend on the shapes it was computed in. :func:`pair_dots` applies the same
-reduction to chosen (row, column) pairs and gives the same bits. Training
-scores its batch with a BLAS product, ``u @ v.T``: those scores feed only
-the loss and its gradient, so their bits need not match search's. Search
-(:mod:`avbinder.retrieval`) screens with a BLAS product too and calls these
-two only where the GEMM score cannot settle the order; every score it
-returns is still the ``row_dots`` value.
+depend on the shapes it was computed in. Training scores its batch with a
+BLAS product, ``u @ v.T``: those scores feed only the loss and its
+gradient, so their bits need not match search's. Search
+(:mod:`avbinder.retrieval`) screens with a BLAS product too and calls
+``row_dots`` only where the GEMM score cannot settle the order, one query
+row against its doubtful candidates; every score it returns or compares is
+still the ``row_dots`` value.
 
 :func:`project_video` and :func:`project_audio` run the eval-mode forward
 in blocks of a fixed 256 rows and zero-pad the last block to 256, so every
@@ -81,36 +81,13 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_dots(u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dot products of u[rows[i]] and v[cols[i]] for every i.
-
-    Same reduction as :func:`row_dots`, so each value has the bits of
-    ``row_dots(u, v)[rows[i], cols[i]]``. Pairs go in chunks so the two
-    gathered rows and their product stay within the ``row_dots`` cap.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape[1] != v.shape[1]:
-        raise ValueError(f"dimension mismatch: {u.shape[1]} vs {v.shape[1]}")
-    step = max(1, _DOT_CHUNK_ELEMS // (3 * max(1, u.shape[1])))
-    out = np.empty(len(rows), dtype=np.float64)
-    for start in range(0, len(rows), step):
-        r, c = rows[start : start + step], cols[start : start + step]
-        out[start : start + len(r)] = (u[r] * v[c]).sum(axis=-1)
-    return out
-
-
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale every row to unit Euclidean norm."""
+    """Scale every row of a 2-D array to unit Euclidean norm."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if (norms <= NORM_FLOOR).any():
         raise ZeroNormError("zero-norm embedding")
-    out = x / norms
-    return out[0] if squeeze else out
+    return x / norms
 
 
 def normalize_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:

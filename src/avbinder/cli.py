@@ -252,8 +252,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    video = load_embeddings(args.video)
-    audio = load_embeddings(args.audio)
+    video = _load_side(args.video, model, "video")
+    audio = _load_side(args.audio, model, "audio")
     val = pair_by_id(video, audio)
     report = recall_at_k(model, val, ks=args.k, direction=_DIRECTIONS[args.direction])
     if args.format == "line":
@@ -263,20 +263,28 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_projected(path, project, model: BindModel) -> EmbeddingMatrix:
-    """The rows of ``path`` after eval-mode ``project``; the raw rows are
-    dropped on return, so they never sit beside the index."""
-    raw = load_embeddings(path)
+def _load_side(path, model: BindModel, side: str) -> EmbeddingMatrix:
+    """The rows of ``path``, checked against the input width of the ``side`` head."""
+    rows = load_embeddings(path)
+    d_in = (model.video_head if side == "video" else model.audio_head).d_in
+    if rows.dim != d_in:
+        raise DataFormatError(f"{path}: rows are {rows.dim}-d, but the checkpoint's {side} head takes {d_in}-d")
+    return rows
+
+
+def _load_projected(path, model: BindModel, side: str) -> EmbeddingMatrix:
+    """The rows of ``path`` after the eval-mode projection of ``side``; the
+    raw rows are dropped on return, so they never sit beside the index."""
+    raw = _load_side(path, model, side)
+    project = project_video if side == "video" else project_audio
     return EmbeddingMatrix(ids=raw.ids, data=project(model, raw.data))
 
 
 def _cmd_retrieve(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    project_query, project_cand = (
-        (project_video, project_audio) if args.direction == "v2a" else (project_audio, project_video)
-    )
-    queries = _load_projected(args.queries, project_query, model)
-    index = build_index(_load_projected(args.candidates, project_cand, model))
+    query_side, cand_side = ("video", "audio") if args.direction == "v2a" else ("audio", "video")
+    queries = _load_projected(args.queries, model, query_side)
+    index = build_index(_load_projected(args.candidates, model, cand_side))
     if args.query_id is not None:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")

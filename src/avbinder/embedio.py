@@ -184,8 +184,6 @@ class PairedDataset:
             raise ValueError("video/audio counts differ")
         if self.video.ids != self.audio.ids:
             raise ValueError("video/audio ids are not aligned")
-        if self.video.dim != self.audio.dim:
-            raise ValueError("video/audio dims differ")
 
     @property
     def count(self) -> int:

@@ -21,8 +21,14 @@ delta = 2*gamma_D, padded by :func:`_screen_margin`. So:
   those with ``row_dots`` and orders them by (-score, id);
 * Recall@K counts a candidate as better than the true partner when its
   GEMM score exceeds the partner's exact score by more than delta, as not
-  better when it falls short by more than delta, and rescores only the band
-  in between with :func:`pair_dots` before applying the id tie-break.
+  better when it falls short by more than delta; each query row with
+  candidates in the band between (its partner aside) is rescored once with
+  ``row_dots`` before the id tie-break.
+
+Both rescore through :func:`_exact_scores`, so ``row_dots`` is the one exact
+reduction; the partner's own score, ``(u * v).sum(axis=-1)`` over aligned
+rows, is the same product and pairwise sum with the same bits. Ids order
+as Python strings do, as in :func:`avbinder.embedio.pair_by_id`.
 
 Query rows are screened in blocks of at most ``_BLOCK_SCORES`` GEMM scores,
 so memory stays bounded at any library size. This is the exact-search
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binder import BindModel, l2_normalize_rows, pair_dots, project_audio, project_video, row_dots
+from .binder import BindModel, l2_normalize_rows, project_audio, project_video, row_dots
 from .embedio import EmbeddingMatrix, PairedDataset
 
 DIRECTION_V2A = "video-to-audio"
@@ -61,8 +67,9 @@ def _screen_margin(dim: int, scale: float = 1.0) -> float:
 
 
 def _id_ranks(ids) -> np.ndarray:
-    """Position of each id in ascending id order; equal ids share one."""
-    return np.unique(np.array(ids), return_inverse=True)[1]
+    """Position of each id in ascending string order; equal ids share one."""
+    # an object array sorts by Python's str comparison and copies no text
+    return np.unique(np.array(ids, dtype=object), return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -141,11 +148,16 @@ def _screen_topk(idx: RetrievalIndex, nq: np.ndarray, k: int) -> np.ndarray:
     return g >= (kth - 2.0 * idx.margin)[:, None]
 
 
+def _exact_scores(row: np.ndarray, vectors: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Clipped ``row_dots`` scores of one unit row against ``vectors[cand]``."""
+    return np.clip(row_dots(row[None, :], vectors[cand])[0], -1.0, 1.0)
+
+
 def _rank_candidates(
     idx: RetrievalIndex, nq_row: np.ndarray, cand: np.ndarray, k: int, query_id: str
 ) -> RetrievalResult:
     """Exact scores of the screened candidates, best k by (-score, id)."""
-    scores = np.clip(row_dots(nq_row[None, :], idx.vectors[cand])[0], -1.0, 1.0)
+    scores = _exact_scores(nq_row, idx.vectors, cand)
     order = np.lexsort((idx.id_rank[cand], -scores))[:k]
     return RetrievalResult(
         query_id=query_id,
@@ -203,23 +215,25 @@ def recall_from_projections(
     v = l2_normalize_rows(y_candidate)
     n = len(ids)
     id_rank = _id_ranks(ids)
-    diag = np.arange(n)
-    own = np.clip(pair_dots(u, v, diag, diag), -1.0, 1.0)
+    own = np.clip((u * v).sum(axis=-1), -1.0, 1.0)  # row_dots bits, see above
     delta = _screen_margin(u.shape[1])
     # candidate j outranks the true match if it scores higher, or ties with
     # a lexicographically smaller id (same rule as retrieve_topk)
     better = np.zeros(n, dtype=np.int64)
     step = max(1, _BLOCK_SCORES // n)
     for start in range(0, n, step):
-        gap = u[start : start + step] @ v.T
+        stop = min(start + step, n)
+        gap = u[start:stop] @ v.T
         np.clip(gap, -1.0, 1.0, out=gap)
-        gap -= own[start : start + step, None]
-        better[start : start + gap.shape[0]] += np.count_nonzero(gap > delta, axis=1)
-        qi, cj = np.nonzero(np.abs(gap, out=gap) <= delta)
-        qi += start
-        exact = np.clip(pair_dots(u, v, qi, cj), -1.0, 1.0)
-        wins = (exact > own[qi]) | ((exact == own[qi]) & (id_rank[cj] < id_rank[qi]))
-        better += np.bincount(qi[wins], minlength=n)
+        gap -= own[start:stop, None]
+        better[start:stop] += np.count_nonzero(gap > delta, axis=1)
+        band = np.abs(gap, out=gap) <= delta
+        band[np.arange(stop - start), np.arange(start, stop)] = False  # the partner itself
+        for r in np.flatnonzero(band.any(axis=1)):
+            q, cand = start + r, np.flatnonzero(band[r])
+            exact = _exact_scores(u[q], v, cand)
+            wins = (exact > own[q]) | ((exact == own[q]) & (id_rank[cand] < id_rank[q]))
+            better[q] += np.count_nonzero(wins)
     ranks = 1 + better
     recall = {int(k): float((ranks <= k).mean()) for k in ks}
     return RecallReport(direction=direction, query_count=n, recall=recall)

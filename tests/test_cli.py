@@ -393,6 +393,41 @@ class TestChain:
         assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
 
 
+class TestMixedDims:
+    """Each head takes its own side's width: 48-d video with 64-d audio."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mixed")
+        rng = np.random.default_rng(5)
+        ids = tuple(f"m{i:02d}" for i in range(40))
+        paths = {"video": str(root / "v48.mvbe"), "audio": str(root / "a64.mvbe"), "ckpt": str(root / "m.mvbm")}
+        save_embeddings(EmbeddingMatrix(ids, rng.standard_normal((40, 48)).astype(np.float32)), paths["video"])
+        save_embeddings(EmbeddingMatrix(ids, rng.standard_normal((40, 64)).astype(np.float32)), paths["audio"])
+        argv = ["train", "--video", paths["video"], "--audio", paths["audio"], "--out", paths["ckpt"],
+                "--batch", "8", "--epochs", "2"]
+        assert run_cli(argv) == 0
+        return paths
+
+    @pytest.mark.parametrize("direction", ["v2a", "a2v"])
+    def test_eval_and_retrieve_run(self, mixed, direction, capsys):
+        code, out, _ = run(["eval", "--checkpoint", mixed["ckpt"], "--video", mixed["video"],
+                            "--audio", mixed["audio"], "--direction", direction], capsys)
+        assert code == 0 and out.count("\n") == 3
+        queries, cands = (mixed["video"], mixed["audio"]) if direction == "v2a" else (mixed["audio"], mixed["video"])
+        code, out, _ = run(["retrieve", "--checkpoint", mixed["ckpt"], "--queries", queries,
+                            "--candidates", cands, "--direction", direction, "--k", "3"], capsys)
+        assert code == 0 and out.count("\n") == 40 * 3
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    def test_swapped_files_name_the_file(self, mixed, command, capsys):
+        flags = ["--video", "--audio"] if command == "eval" else ["--queries", "--candidates"]
+        argv = [command, "--checkpoint", mixed["ckpt"], flags[0], mixed["audio"], flags[1], mixed["video"]]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert mixed["audio"] in err and "64-d" in err and "video head takes 48-d" in err
+
+
 class TestRetrieveRowIndependence:
     def test_query_alone_prints_its_lines_from_the_full_file(self, tmp_path, capsys):
         # A query alone in a 1-row file once printed other scores than the

@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly what the package imports,
-and the package uses every name it imports."""
+the package uses every name it imports, and every public function or class
+has a user outside the tests."""
 
 import ast
 import re
@@ -91,3 +92,50 @@ def test_package_has_no_unused_imports():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes taken, and strings (``tracer.wrap`` targets)."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _unreferenced_public(package: list[str], users: list[str], entry_points: set[str]) -> list[str]:
+    """Public top-level names of the ``package`` sources that no package or
+    ``users`` source refers to and no entry point names."""
+    package_trees = [ast.parse(source) for source in package]
+    defined = set().union(*map(_public_definitions, package_trees))
+    referenced = set(entry_points).union(*map(_referenced_names, package_trees + [ast.parse(s) for s in users]))
+    return sorted(defined - referenced)
+
+
+def test_unreferenced_public_scan_sees_leftovers():
+    package = ["def used():\n    pass\n\n\ndef left():\n    pass\n\n\nclass Kept:\n    pass\n",
+               "from m import used\n\n\ndef main():\n    used()\n"]
+    users = ["tracer.wrap(av.m, 'Kept')\n"]
+    assert _unreferenced_public(package, users, {"main"}) == ["left"]
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # a public name that only tests call is API no pipeline uses
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    entry_points = {target.rsplit(":", 1)[1] for target in scripts.values()}
+    package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
+    users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unreferenced_public(package, users, entry_points) == []

@@ -10,6 +10,7 @@ ranking, score and Recall figure must equal the oracle's bit for bit.
 import contextlib
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 from helpers import INTEGER_FIXTURE_GOLDEN, topk_full_sort, write_integer_search_fixture
 
 from avbinder import retrieval
-from avbinder.binder import l2_normalize_rows, pair_dots, row_dots
+from avbinder.binder import l2_normalize_rows, row_dots
 from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix
 from avbinder.retrieval import (
     DIRECTION_V2A,
+    _id_ranks,
     build_index,
     recall_from_projections,
     retrieve_topk,
@@ -155,25 +157,59 @@ class TestRecall:
         assert got.recall == {1: 2 / 3, 2: 2 / 3, 3: 1.0}
 
 
-class TestPairDots:
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 300).flatmap(
-        lambda d: st.tuples(near_tie_rows(np.float64, max_rows=20, dim=d),
-                            near_tie_rows(np.float64, max_rows=20, dim=d))
-    ))
-    def test_bit_equal_to_row_dots(self, case):
-        u, v = (l2_normalize_rows(x) for x in case)
-        rows, cols = np.nonzero(np.ones((len(u), len(v)), bool))
-        assert np.array_equal(pair_dots(u, v, rows, cols), row_dots(u, v)[rows, cols])
+class TestRecallRescoring:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda d: near_tie_rows(np.float64, max_rows=20, dim=d)))
+    def test_own_score_has_row_dots_bits(self, y):
+        # Recall@K takes each query's score against its own partner as the
+        # aligned-row sum, which must be the row_dots reduction bit for bit
+        u = l2_normalize_rows(y)
+        v = l2_normalize_rows(y[::-1])
+        assert np.array_equal((u * v).sum(axis=-1), np.diagonal(row_dots(u, v)))
 
-    def test_chunked_pairs_keep_their_bits(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        u, v = rng.standard_normal((9, 300)), rng.standard_normal((6, 300))
-        rows, cols = rng.integers(0, 9, 50), rng.integers(0, 6, 50)
-        whole = pair_dots(u, v, rows, cols)
-        monkeypatch.setattr("avbinder.binder._DOT_CHUNK_ELEMS", 1000)
-        assert np.array_equal(pair_dots(u, v, rows, cols), whole)
-        assert np.array_equal(whole, row_dots(u, v)[rows, cols])
+    @settings(max_examples=100, deadline=None)
+    @given(paired_projections(), st.integers(0, 1000))
+    def test_repeated_ids_match_pairwise_oracle(self, case, seed):
+        # a candidate outranks the true match only if it scores higher, or
+        # ties with a strictly smaller id; an equal id never outranks it
+        yq, yc, _ = case
+        n = len(yq)
+        ids = tuple(f"p{c}" for c in np.random.default_rng(seed).integers(0, 3, n))
+        scores = np.clip(row_dots(l2_normalize_rows(yq), l2_normalize_rows(yc)), -1.0, 1.0)
+        ranks = [
+            1 + sum(scores[i, j] > scores[i, i] or (scores[i, j] == scores[i, i] and ids[j] < ids[i])
+                    for j in range(n) if j != i)
+            for i in range(n)
+        ]
+        ks = [1, 2, n]
+        got = recall_from_projections(yq, yc, ids, ks, DIRECTION_V2A)
+        assert got.recall == {k: sum(r <= k for r in ranks) / n for k in ks}
+
+
+class TestIdOrder:
+    # numpy's fixed-width strings drop trailing NULs, so "a" and "a\x00"
+    # compared equal there; Python orders "a" first, as pair_by_id does
+    def test_topk_breaks_a_tie_by_string_order(self):
+        idx = build_index(EmbeddingMatrix(ids=("a\x00", "a"), data=np.ones((2, 3), np.float32)))
+        assert [cid for cid, _ in retrieve_topk(idx, np.ones(3), 2).items] == ["a", "a\x00"]
+
+    def test_recall_counts_the_smaller_id_as_better(self):
+        y = np.ones((2, 3))
+        got = recall_from_projections(y, y, ("a", "a\x00"), [1, 2], DIRECTION_V2A)
+        assert got.recall == {1: 0.5, 2: 1.0}
+
+    def test_ranking_ids_does_not_scale_with_the_longest_id(self):
+        ids = tuple(f"trk-{i:04d}" for i in range(1000)) + ("x" * 60000,)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ranks = _id_ranks(ids)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ranks[-1] == 1000 and list(ranks[:3]) == [0, 1, 2]
+        # a fixed-width unicode array padded every id to 60000 characters
+        assert peak <= 5 << 20, peak
 
 
 class TestCliGolden:
