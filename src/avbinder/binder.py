@@ -81,13 +81,19 @@ def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Scale every row of a 2-D array to unit Euclidean norm."""
-    x = np.asarray(x, dtype=np.float64)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a float64 2-D array, shape (N, 1);
+    a row at or below ``NORM_FLOOR`` raises :class:`ZeroNormError`."""
     norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if (norms <= NORM_FLOOR).any():
         raise ZeroNormError("zero-norm embedding")
-    return x / norms
+    return norms
+
+
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale every row of a 2-D array to unit Euclidean norm."""
+    x = np.asarray(x, dtype=np.float64)
+    return x / _row_norms(x)
 
 
 def normalize_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:

@@ -276,6 +276,9 @@ def _load_projected(path, model: BindModel, side: str) -> EmbeddingMatrix:
     """The rows of ``path`` after the eval-mode projection of ``side``; the
     raw rows are dropped on return, so they never sit beside the index."""
     raw = _load_side(path, model, side)
+    if raw.count == 0:  # the projection takes at least one row
+        d_out = (model.video_head if side == "video" else model.audio_head).d_out
+        return EmbeddingMatrix(ids=(), data=np.empty((0, d_out), np.float32))
     project = project_video if side == "video" else project_audio
     return EmbeddingMatrix(ids=raw.ids, data=project(model, raw.data))
 
@@ -284,7 +287,10 @@ def _cmd_retrieve(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     query_side, cand_side = ("video", "audio") if args.direction == "v2a" else ("audio", "video")
     queries = _load_projected(args.queries, model, query_side)
-    index = build_index(_load_projected(args.candidates, model, cand_side))
+    candidates = _load_projected(args.candidates, model, cand_side)
+    if candidates.count == 0:
+        raise DataFormatError(f"{args.candidates}: no candidate rows to search")
+    index = build_index(candidates)
     if args.query_id is not None:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")

@@ -7,14 +7,22 @@ all validation candidates of the other modality and asks whether the
 query's own ground-truth partner landed in the top K.
 
 Every score returned or compared here is the exact :func:`row_dots` value
-of the unit rows, clipped to [-1, 1]. Computing it for every pair costs
-80-180x a GEMM, so search screens with BLAS and rescores only where the
-order is in doubt. For rows of norm at most 1, a GEMM score and the
-``row_dots`` score of the same pair both lie within
-gamma_D = D*u / (1 - D*u) (u = 2**-53) of the exact dot product, whatever
-the summation order (Higham, *Accuracy and Stability of Numerical
-Algorithms*, section 3.1). After clipping they differ by at most
-delta = 2*gamma_D, padded by :func:`_screen_margin`. So:
+of the float64 unit rows (from :func:`l2_normalize_rows`), clipped to
+[-1, 1]. Computing it for every pair costs 80-180x a GEMM, so search
+screens with a float32 GEMM and rescores only where the order is in doubt.
+The screen reads the unit rows rounded once to float32, half the bytes of
+a float64 GEMM. For unit rows of dimension D, with
+gamma_D(u) = D*u / (1 - D*u) (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.1), whatever the summation order:
+
+* the float32 GEMM score of the rounded rows lies within gamma_D(2**-24)
+  of their exact dot product;
+* that dot product lies within about 2 * 2**-24 of the unit rows' own,
+  since rounding to float32 moves each row by at most 2**-24 of its norm;
+* the ``row_dots`` score lies within gamma_D(2**-53) of the unit rows' own.
+
+After clipping the two scores differ by at most the sum of these, which
+:func:`_screen_margin` pads into delta (about 2 * (D + 6) * 2**-24). So:
 
 * top-K keeps every candidate whose GEMM score is within 2*delta of the
   K-th largest GEMM score, which is a superset of the exact top K, rescores
@@ -27,8 +35,11 @@ delta = 2*gamma_D, padded by :func:`_screen_margin`. So:
 
 Both rescore through :func:`_exact_scores`, so ``row_dots`` is the one exact
 reduction; the partner's own score, ``(u * v).sum(axis=-1)`` over aligned
-rows, is the same product and pairwise sum with the same bits. Ids order
-as Python strings do, as in :func:`avbinder.embedio.pair_by_id`.
+rows, is the same product and pairwise sum with the same bits. A
+:class:`RetrievalIndex` keeps the float32 rows, their float64 norms and the
+float32 screen rows, and rebuilds the float64 unit rows of the rescored
+candidates only, so no float64 copy of the library is made. Ids order as
+Python strings do, as in :func:`avbinder.embedio.pair_by_id`.
 
 Query rows are screened in blocks of at most ``_BLOCK_SCORES`` GEMM scores,
 so memory stays bounded at any library size. This is the exact-search
@@ -41,29 +52,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binder import BindModel, l2_normalize_rows, project_audio, project_video, row_dots
+from .binder import (
+    BindModel,
+    _row_norms,
+    l2_normalize_rows,
+    project_audio,
+    project_video,
+    row_dots,
+)
 from .embedio import EmbeddingMatrix, PairedDataset
 
 DIRECTION_V2A = "video-to-audio"
 DIRECTION_A2V = "audio-to-video"
 DIRECTIONS = (DIRECTION_V2A, DIRECTION_A2V)
 
-_BLOCK_SCORES = 1 << 20  # GEMM scores per block of query rows (8 MB)
-_NORMALIZE_BLOCK_ROWS = 256  # rows per block when building an index
+_BLOCK_SCORES = 1 << 20  # float32 GEMM scores per block of query rows (4 MB)
+_BLOCK_ROWS = 256  # rows per block when normalizing or rescoring index rows
 
 
-def _screen_margin(dim: int, scale: float = 1.0) -> float:
-    """delta for rows of dimension ``dim`` whose norms multiply to at most
-    ``scale``: a bound on |clip(GEMM score) - clip(row_dots score)|.
+def _screen_margin(dim: int) -> float:
+    """delta for unit rows of dimension ``dim``: a bound on
+    |clip(float32 GEMM score) - clip(row_dots score)| of one pair.
 
-    The bound itself is 2*gamma_D*scale. Doubling it and using gamma_{D+2}
-    covers computed row norms a few ulps above the true ones and the
-    rounding of thresholds built from delta; 2**-50 covers the absolute
-    rounding of those thresholds near +-1.
+    The bound itself is E = gamma_D(2**-24) + 2 * 2**-24 + gamma_D(2**-53)
+    (see the module docstring). Doubling it and using gamma_{D+2} covers
+    computed unit rows a few ulps longer than 1 and the (1 + 2**-24) growth
+    of a row's norm when it is rounded to float32. 2**-22 covers the
+    float32 rounding of what the screens build from delta: the top-K
+    threshold, the partner's score and the difference from it, all of
+    magnitude at most about 2. dim * 2**-146 covers subnormals, where
+    rounding a coordinate to float32 and each float32 product each lose up
+    to 2**-150 absolutely instead of 2**-24 relatively.
     """
-    unit = 2.0**-53
-    gamma = (dim + 2) * unit / (1.0 - (dim + 2) * unit)
-    return 4.0 * gamma * scale + 2.0**-50
+    gemm = (dim + 2) * 2.0**-24 / (1.0 - (dim + 2) * 2.0**-24)
+    exact = (dim + 2) * 2.0**-53 / (1.0 - (dim + 2) * 2.0**-53)
+    return 2.0 * (gemm + 2.0 * 2.0**-24 + exact) + 2.0**-22 + dim * 2.0**-146
 
 
 def _id_ranks(ids) -> np.ndarray:
@@ -74,22 +97,58 @@ def _id_ranks(ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RetrievalIndex:
+    """Candidate rows for search, with what the screen derives from them.
+
+    ``rows`` are kept as given (float32 when built from an
+    :class:`EmbeddingMatrix`, and then not copied). ``norms`` are their
+    float64 norms, computed as :func:`l2_normalize_rows` computes them, and
+    ``screen`` holds the float64 unit rows rounded once to float32. The
+    exact float64 unit rows are rebuilt from ``rows`` and ``norms`` only
+    for the candidates being rescored, with the same bits.
+    """
+
     ids: tuple[str, ...]
-    vectors: np.ndarray  # unit rows, float64
-    # derived once: ascending-id position of each row, and the screen's delta
+    rows: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
+    screen: np.ndarray = field(init=False, repr=False, compare=False)
+    # ascending-id position of each row, and the screen's delta
     id_rank: np.ndarray = field(init=False, repr=False, compare=False)
     margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.vectors.setflags(write=False)
-        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        scale = float(np.sqrt(sq_norms.max())) if sq_norms.size else 0.0
+        rows = np.asarray(self.rows)
+        n, dim = rows.shape
+        norms = np.empty(n, dtype=np.float64)
+        screen = np.empty((n, dim), dtype=np.float32)
+        # in blocks, so no float64 copy of the rows is made; normalization
+        # is row-wise, so the bits are those of one whole-matrix call
+        for start in range(0, n, _BLOCK_ROWS):
+            x = np.asarray(rows[start : start + _BLOCK_ROWS], dtype=np.float64)
+            block_norms = _row_norms(x)
+            norms[start : start + len(x)] = block_norms[:, 0]
+            screen[start : start + len(x)] = x / block_norms
+        norms.setflags(write=False)
+        screen.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "screen", screen)
         object.__setattr__(self, "id_rank", _id_ranks(self.ids))
-        object.__setattr__(self, "margin", _screen_margin(self.vectors.shape[1], scale))
+        object.__setattr__(self, "margin", _screen_margin(dim))
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.rows.shape[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every float64 unit row, rebuilt on each call: a float64 copy of
+        the library, which search itself never makes."""
+        return self._unit_rows(slice(None))
+
+    def _unit_rows(self, cand) -> np.ndarray:
+        """The float64 unit rows ``cand``, bit for bit as
+        :func:`l2_normalize_rows` of ``rows`` gives them."""
+        return np.asarray(self.rows[cand], dtype=np.float64) / self.norms[cand, None]
 
 
 @dataclass(frozen=True)
@@ -124,40 +183,38 @@ class RecallReport:
 
 
 def build_index(m: EmbeddingMatrix) -> RetrievalIndex:
-    """Normalize projected embeddings into an immutable search index.
-
-    Rows are normalized in blocks straight into the float64 index, so no
-    float64 copy of the whole input is made; normalization is row-wise, so
-    the bits are those of one whole-matrix call."""
-    vectors = np.empty(m.data.shape, dtype=np.float64)
-    for start in range(0, m.count, _NORMALIZE_BLOCK_ROWS):
-        stop = start + _NORMALIZE_BLOCK_ROWS
-        vectors[start:stop] = l2_normalize_rows(m.data[start:stop])
-    return RetrievalIndex(ids=m.ids, vectors=vectors)
+    """An immutable search index over the (projected) rows of ``m``."""
+    return RetrievalIndex(ids=m.ids, rows=m.data)
 
 
 def _screen_topk(idx: RetrievalIndex, nq: np.ndarray, k: int) -> np.ndarray:
     """Mask over (query row, candidate) holding every candidate that can be
-    in the exact top k of its row: GEMM score within 2*delta of the k-th."""
+    in the exact top k of its row: float32 GEMM score within 2*delta of
+    the k-th."""
     n = idx.count
     if k >= n:
         return np.ones((nq.shape[0], n), dtype=bool)
-    g = nq @ idx.vectors.T
+    g = nq.astype(np.float32) @ idx.screen.T
     np.clip(g, -1.0, 1.0, out=g)
     kth = np.partition(g, n - k, axis=1)[:, n - k]
-    return g >= (kth - 2.0 * idx.margin)[:, None]
+    return g >= (kth - 2.0 * idx.margin)[:, None]  # a float32 threshold
 
 
-def _exact_scores(row: np.ndarray, vectors: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Clipped ``row_dots`` scores of one unit row against ``vectors[cand]``."""
-    return np.clip(row_dots(row[None, :], vectors[cand])[0], -1.0, 1.0)
+def _exact_scores(idx: RetrievalIndex, row: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Clipped ``row_dots`` scores of one float64 unit row against the
+    index rows ``cand``, rebuilt a block of rows at a time."""
+    blocks = [
+        row_dots(row[None, :], idx._unit_rows(cand[i : i + _BLOCK_ROWS]))[0]
+        for i in range(0, len(cand), _BLOCK_ROWS)
+    ]
+    return np.clip(np.concatenate(blocks), -1.0, 1.0)
 
 
 def _rank_candidates(
     idx: RetrievalIndex, nq_row: np.ndarray, cand: np.ndarray, k: int, query_id: str
 ) -> RetrievalResult:
     """Exact scores of the screened candidates, best k by (-score, id)."""
-    scores = _exact_scores(nq_row, idx.vectors, cand)
+    scores = _exact_scores(idx, nq_row, cand)
     order = np.lexsort((idx.id_rank[cand], -scores))[:k]
     return RetrievalResult(
         query_id=query_id,
@@ -211,28 +268,27 @@ def recall_from_projections(
         raise ValueError("empty validation set")
     if any(k <= 0 for k in ks):
         raise ValueError("K values must be positive")
-    u = l2_normalize_rows(y_query)
-    v = l2_normalize_rows(y_candidate)
-    n = len(ids)
-    id_rank = _id_ranks(ids)
-    own = np.clip((u * v).sum(axis=-1), -1.0, 1.0)  # row_dots bits, see above
-    delta = _screen_margin(u.shape[1])
+    cands = RetrievalIndex(ids=tuple(ids), rows=y_candidate)
+    n = cands.count
     # candidate j outranks the true match if it scores higher, or ties with
     # a lexicographically smaller id (same rule as retrieve_topk)
     better = np.zeros(n, dtype=np.int64)
     step = max(1, _BLOCK_SCORES // n)
     for start in range(0, n, step):
-        stop = min(start + step, n)
-        gap = u[start:stop] @ v.T
+        u = l2_normalize_rows(y_query[start : start + step])
+        stop = start + u.shape[0]
+        own = (u * cands._unit_rows(slice(start, stop))).sum(axis=-1)  # row_dots bits, see above
+        np.clip(own, -1.0, 1.0, out=own)
+        gap = u.astype(np.float32) @ cands.screen.T
         np.clip(gap, -1.0, 1.0, out=gap)
-        gap -= own[start:stop, None]
-        better[start:stop] += np.count_nonzero(gap > delta, axis=1)
-        band = np.abs(gap, out=gap) <= delta
+        gap -= own.astype(np.float32)[:, None]
+        better[start:stop] += np.count_nonzero(gap > cands.margin, axis=1)
+        band = np.abs(gap, out=gap) <= cands.margin
         band[np.arange(stop - start), np.arange(start, stop)] = False  # the partner itself
         for r in np.flatnonzero(band.any(axis=1)):
             q, cand = start + r, np.flatnonzero(band[r])
-            exact = _exact_scores(u[q], v, cand)
-            wins = (exact > own[q]) | ((exact == own[q]) & (id_rank[cand] < id_rank[q]))
+            exact = _exact_scores(cands, u[r], cand)
+            wins = (exact > own[r]) | ((exact == own[r]) & (cands.id_rank[cand] < cands.id_rank[q]))
             better[q] += np.count_nonzero(wins)
     ranks = 1 + better
     recall = {int(k): float((ranks <= k).mean()) for k in ks}

@@ -135,6 +135,63 @@ def write_integer_search_fixture(root, seed: int = 4, pairs: int = 40):
     return paths
 
 
+def write_float_search_fixture(root, seed: int = 11, pairs: int = 64, dim: int = 16):
+    """Checkpoint plus paired MVBE files with gaussian projections that
+    carry planted near-ties 1e-7 to 1e-5 apart in score.
+
+    Both heads compute y = relu(x) @ P - relu(-x) @ P for one signed
+    permutation P (w1 = [I, -I], identity batch norm, w2 = [P; -P]), so
+    every output is one input coordinate, sign-flipped or not, and the
+    projection is exact whatever order BLAS sums in. Some audio rows are
+    copies of others scaled coordinate-wise by 1 + eps * noise, so their
+    scores against a query sit a few float32 ulps apart and search must
+    rescore them. Returns the file paths by name.
+    """
+    from avbinder.binder import BindModel
+    from avbinder.embedio import EmbeddingMatrix, save_embeddings
+    from avbinder.projection import ProjectionHead
+    from avbinder.training import TrainState, save_checkpoint
+
+    rng = np.random.default_rng(seed)
+    perm = np.zeros((dim, dim), np.float32)
+    perm[np.arange(dim), rng.permutation(dim)] = rng.choice([-1.0, 1.0], dim)
+    eye = np.eye(dim, dtype=np.float32)
+
+    def head():
+        zeros = np.zeros(2 * dim, np.float32)
+        return ProjectionHead(
+            w1=np.concatenate([eye, -eye], axis=1),
+            b1=zeros.copy(),
+            bn_gamma=np.ones(2 * dim, np.float32),
+            bn_beta=zeros.copy(),
+            bn_running_mean=zeros.copy(),
+            bn_running_var=zeros.copy(),
+            w2=np.concatenate([perm, -perm], axis=0),
+            b2=np.zeros(dim, np.float32),
+            bn_eps=1.0,
+        )
+
+    model = BindModel(video_head=head(), audio_head=head(), temperature=0.07)
+    audio = rng.standard_normal((pairs, dim))
+    video = audio + 0.4 * rng.standard_normal((pairs, dim))
+    for eps, rows in ((1e-5, range(1, 16, 3)), (1e-6, range(2, 40, 3)), (1e-7, range(40, pairs, 3))):
+        for j in rows:
+            audio[j] = audio[j - 1] * (1.0 + eps * rng.standard_normal(dim))
+    video[50:56] = video[49] * (1.0 + 1e-6 * rng.standard_normal((6, dim)))
+    ids = tuple(f"f{p:03d}" for p in rng.permutation(pairs))
+
+    root = Path(root)
+    paths = {
+        "ckpt": root / "float.mvbm",
+        "video": root / "float_video.mvbe",
+        "audio": root / "float_audio.mvbe",
+    }
+    save_checkpoint(model, TrainState.for_model(model), paths["ckpt"])
+    save_embeddings(EmbeddingMatrix(ids=ids, data=video.astype(np.float32)), paths["video"])
+    save_embeddings(EmbeddingMatrix(ids=ids, data=audio.astype(np.float32)), paths["audio"])
+    return paths
+
+
 # (argv template, sha256 of stdout) captured before search moved to the
 # screened path; every retrieve row and every eval figure must stay the same
 INTEGER_FIXTURE_GOLDEN = (
@@ -152,6 +209,24 @@ INTEGER_FIXTURE_GOLDEN = (
      "b7e4cd82826a365575008f1634996ea276dfa47877b44f99edc3377f5013383a"),
 )
 
+
+# (argv template, sha256 of stdout) of the float fixture, captured while
+# search still screened with float64 GEMMs; the float32 screen must print
+# the same bytes
+FLOAT_FIXTURE_GOLDEN = (
+    (["retrieve", "--checkpoint", "{ckpt}", "--queries", "{video}", "--candidates", "{audio}",
+      "--k", "10"],
+     "07835f2e1d298444772e2642d6dfc5dacdc93050d46fd9eb8f9f8f23550f238e"),
+    (["retrieve", "--checkpoint", "{ckpt}", "--queries", "{audio}", "--candidates", "{video}",
+      "--k", "10", "--direction", "a2v"],
+     "62c19479c0b4c26ca7fb8fb0fe60eb60bba502832d9d2ea3ab203d8a238105e3"),
+    (["eval", "--checkpoint", "{ckpt}", "--video", "{video}", "--audio", "{audio}",
+      "--k", "1,5,10"],
+     "9d77c7031b8894f0c862913504a3da5915dd9e422fc68f7148810c66fa222152"),
+    (["eval", "--checkpoint", "{ckpt}", "--video", "{video}", "--audio", "{audio}",
+      "--k", "1,5,10", "--direction", "a2v"],
+     "a80aa198c7e7ec85ca812dbb1466e15dc0fde8dfd536ec023024acd78ec4f895"),
+)
 
 # --- reference training step -------------------------------------------------
 # The projection-head step as first written, in the head's dtype: forward

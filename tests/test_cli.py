@@ -428,6 +428,22 @@ class TestMixedDims:
         assert mixed["audio"] in err and "64-d" in err and "video head takes 48-d" in err
 
 
+    @pytest.mark.parametrize("empty_side, dim", [("--queries", 48), ("--candidates", 64)])
+    def test_retrieve_with_an_empty_file(self, mixed, empty_side, dim, tmp_path, capsys):
+        # zero queries answer nothing; zero candidates leave nothing to
+        # search, and the message names the file
+        empty = str(tmp_path / "empty.mvbe")
+        save_embeddings(EmbeddingMatrix((), np.empty((0, dim), np.float32)), empty)
+        files = {"--queries": mixed["video"], "--candidates": mixed["audio"], empty_side: empty}
+        argv = ["retrieve", "--checkpoint", mixed["ckpt"], "--k", "3"]
+        code, out, err = run(argv + [part for item in files.items() for part in item], capsys)
+        assert out == ""
+        if empty_side == "--queries":
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and empty in err and "no candidate rows" in err
+
+
 class TestRetrieveRowIndependence:
     def test_query_alone_prints_its_lines_from_the_full_file(self, tmp_path, capsys):
         # A query alone in a 1-row file once printed other scores than the

@@ -15,7 +15,7 @@ from avbinder.binder import BindModel, project_audio
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
 from avbinder.projection import init_head
-from avbinder.retrieval import build_index
+from avbinder.retrieval import build_index, retrieve_topk
 
 MB = 1 << 20
 
@@ -81,6 +81,23 @@ def test_build_index_temporaries_do_not_grow_with_rows():
     for n in (2048, 8192):
         m = EmbeddingMatrix(tuple(map(str, range(n))), rng.standard_normal((n, 256)).astype(np.float32))
         index, peak = traced_peak(build_index, m)
-        extra[n] = peak - index.vectors.nbytes
+        total = index.rows.nbytes + index.screen.nbytes + index.norms.nbytes
+        # float32 rows and screen rows take the bytes the float64 rows did
+        assert total <= n * 256 * 8 + n * 8, total
+        assert index.rows is m.data  # shared, so not allocated in the call
+        extra[n] = peak - (total - index.rows.nbytes)
     # whole-matrix normalization held a float64 copy and its square
     assert extra[8192] <= extra[2048] + 64 * 1024, extra
+
+
+@pytest.mark.parametrize("k", [10, 8192])
+def test_topk_makes_no_float64_copy_of_the_library(k):
+    rng = np.random.default_rng(3)
+    m = EmbeddingMatrix(tuple(map(str, range(8192))), rng.standard_normal((8192, 256)).astype(np.float32))
+    index = build_index(m)
+    result, peak = traced_peak(retrieve_topk, index, rng.standard_normal(256), k)
+    assert len(result.items) == k
+    # float64 unit rows of the whole library would take 16 MB; the screen
+    # holds one float32 score per row, and rescoring every row (k = count)
+    # rebuilds them a block at a time
+    assert peak <= 4 * MB, peak

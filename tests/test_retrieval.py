@@ -3,7 +3,7 @@ import pytest
 
 from helpers import topk_full_sort
 
-from avbinder.binder import BindModel, row_dots
+from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import EmbeddingMatrix, PairedDataset
 from avbinder.errors import ZeroNormError
 from avbinder.projection import init_head
@@ -29,7 +29,9 @@ class TestBuildIndex:
     def test_unit_rows_stored_unchanged(self):
         m = matrix(np.eye(3, 8))
         idx = build_index(m)
-        assert np.array_equal(idx.vectors, np.eye(3, 8))
+        assert idx.rows is m.data  # shared, not copied
+        assert np.array_equal(idx._unit_rows(slice(None)), np.eye(3, 8))
+        assert idx.screen.dtype == np.float32 and np.array_equal(idx.screen, np.eye(3, 8))
         assert idx.ids == m.ids
 
     def test_rows_are_normalized(self):
@@ -38,12 +40,28 @@ class TestBuildIndex:
         idx = build_index(matrix([row]))
         expected = np.zeros(16)
         expected[0], expected[1] = 0.6, 0.8
-        assert np.array_equal(idx.vectors[0], expected)
+        assert np.array_equal(idx._unit_rows(slice(None))[0], expected)
+        assert np.array_equal(idx.norms, [5.0])
 
     def test_build_is_deterministic(self):
         m = matrix(np.random.default_rng(0).standard_normal((10, 6)))
         a, b = build_index(m), build_index(m)
-        assert np.array_equal(a.vectors, b.vectors) and a.ids == b.ids
+        assert np.array_equal(a._unit_rows(slice(None)), b._unit_rows(slice(None)))
+        assert np.array_equal(a.screen, b.screen) and a.ids == b.ids
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_rebuilt_rows_have_the_bits_of_one_normalize_call(self, n):
+        # search rescores with rows rebuilt from the float32 rows and their
+        # norms; they must be l2_normalize_rows of the whole matrix, and the
+        # screen rows that result rounded once to float32
+        m = matrix(np.random.default_rng(n).standard_normal((n, 40)) * 10.0 ** np.arange(-3, 3, 0.15))
+        idx = build_index(m)
+        whole = l2_normalize_rows(m.data)
+        cand = np.random.default_rng(0).permutation(n)[: n // 2 + 1]
+        assert np.array_equal(idx._unit_rows(slice(None)), whole)
+        assert np.array_equal(idx._unit_rows(cand), whole[cand])
+        assert np.array_equal(idx.vectors, whole)
+        assert np.array_equal(idx.screen, whole.astype(np.float32))
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroNormError):
@@ -80,7 +98,7 @@ class TestRetrieveTopk:
                 q[0] = 1.0
             scores = np.clip(
                 row_dots(
-                    (q / np.linalg.norm(q))[None, :], idx.vectors
+                    (q / np.linalg.norm(q))[None, :], l2_normalize_rows(idx.rows)
                 )[0],
                 -1.0,
                 1.0,

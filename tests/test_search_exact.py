@@ -1,9 +1,10 @@
 """The screened search path against the row_dots + full-sort oracle.
 
-Search scores with a BLAS product and rescores exactly only where that
-product cannot settle the order. These tests feed it the inputs that put
-the most pairs in the rescored band: duplicated rows, rows one ulp apart,
-quantized coordinates and k at or beyond the candidate count. Every
+Search scores with a float32 BLAS product and rescores exactly only where
+that product cannot settle the order. These tests feed it the inputs that
+put the most pairs in the rescored band: duplicated rows, rows one ulp
+apart, near-copies whose scores sit a few float32 ulps apart, quantized
+coordinates and k at or beyond the candidate count. Every
 ranking, score and Recall figure must equal the oracle's bit for bit.
 """
 
@@ -17,7 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import INTEGER_FIXTURE_GOLDEN, topk_full_sort, write_integer_search_fixture
+from helpers import (
+    FLOAT_FIXTURE_GOLDEN,
+    INTEGER_FIXTURE_GOLDEN,
+    topk_full_sort,
+    write_float_search_fixture,
+    write_integer_search_fixture,
+)
 
 from avbinder import retrieval
 from avbinder.binder import l2_normalize_rows, row_dots
@@ -60,7 +67,7 @@ def shuffled_ids(n, seed, prefix="c"):
 
 def oracle_topk(idx, q, k):
     nq = l2_normalize_rows(np.asarray(q, np.float64)[None, :])
-    scores = np.clip(row_dots(nq, idx.vectors)[0], -1.0, 1.0)
+    scores = np.clip(row_dots(nq, l2_normalize_rows(idx.rows))[0], -1.0, 1.0)
     return topk_full_sort(idx.ids, scores, k)
 
 
@@ -186,6 +193,60 @@ class TestRecallRescoring:
         assert got.recall == {k: sum(r <= k for r in ranks) / n for k in ks}
 
 
+@st.composite
+def float32_near_ties(draw):
+    """Float32 rows that are near-copies of a few source rows: each copy
+    scales its source coordinate-wise by 1 + eps * noise. Against a query
+    at an angle to the source, the exact scores of the copies spread over
+    about 1e-7 to 1e-5, within the float32 screen's error."""
+    d = draw(st.sampled_from([2, 7, 32, 256]))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([1e-7, 1e-6, 1e-5])) * np.sqrt(d)
+    sources = rng.standard_normal((draw(st.integers(1, 4)), d))
+    rows = sources[rng.integers(0, len(sources), n)] * (1.0 + eps * rng.standard_normal((n, d)))
+    return rows.astype(np.float32), sources, rng
+
+
+def at_an_angle(x, rng):
+    """Each row moved off its direction by noise of 0.7 its norm: cosine
+    about 0.8, where a near-copy's score moves with its perturbation."""
+    scale = np.linalg.norm(x, axis=1, keepdims=True) / np.sqrt(x.shape[1])
+    return x + 0.7 * scale * rng.standard_normal(x.shape)
+
+
+class TestFloat32NearTies:
+    @settings(max_examples=150, deadline=None)
+    @given(float32_near_ties(), st.integers(1, 12), st.integers(0, 1000))
+    def test_topk_matches_full_sort_oracle(self, case, k, seed):
+        rows, sources, rng = case
+        idx = build_index(EmbeddingMatrix(ids=shuffled_ids(len(rows), seed), data=rows))
+        # angled queries spread the copies' scores by about eps; the
+        # sources themselves tie them near 1
+        queries = np.concatenate([at_an_angle(sources, rng), sources, rng.standard_normal(sources.shape)])
+        qids = tuple(f"q{i}" for i in range(len(queries)))
+        for q, result in zip(queries, retrieve_topk_batch(idx, queries, k, qids)):
+            assert list(result.items) == oracle_topk(idx, q, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float32_near_ties(), st.integers(0, 1000), st.booleans())
+    def test_recall_matches_full_sort_oracle(self, case, seed, one_row_blocks):
+        yc, _, rng = case
+        n = len(yc)
+        # each query sits at an angle to its partner or to another row, often
+        # a copy of the same source, so partner and rivals score within
+        # about eps of each other
+        twin = np.where(rng.random(n) < 0.5, np.arange(n), rng.integers(0, n, n))
+        yq = at_an_angle(yc[twin].astype(np.float64), rng).astype(np.float32)
+        ids = shuffled_ids(n, seed, prefix="p")
+        ks = sorted({1, 2, 3, 5, n})
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_blocks:
+                mp.setattr(retrieval, "_BLOCK_SCORES", 1)
+            got = recall_from_projections(yq, yc, ids, ks, DIRECTION_V2A)
+        assert got.recall == oracle_recall(yq, yc, ids, ks)
+
+
 class TestIdOrder:
     # numpy's fixed-width strings drop trailing NULs, so "a" and "a\x00"
     # compared equal there; Python orders "a" first, as pair_by_id does
@@ -212,14 +273,24 @@ class TestIdOrder:
         assert peak <= 5 << 20, peak
 
 
+def assert_stdout_hashes(paths, golden):
+    paths = {name: str(p) for name, p in paths.items()}
+    for argv, want in golden:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run_cli([a.format(**paths) for a in argv])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, argv
+
+
 class TestCliGolden:
     def test_retrieve_and_eval_stdout_unchanged(self, tmp_path):
         # hashes of the stdout these commands printed when every score
         # went through row_dots and a full sort
-        paths = {name: str(p) for name, p in write_integer_search_fixture(tmp_path).items()}
-        for argv, want in INTEGER_FIXTURE_GOLDEN:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = run_cli([a.format(**paths) for a in argv])
-            assert code == 0
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want, argv
+        assert_stdout_hashes(write_integer_search_fixture(tmp_path), INTEGER_FIXTURE_GOLDEN)
+
+    def test_float_near_ties_stdout_unchanged(self, tmp_path):
+        # hashes of the stdout these commands printed when search screened
+        # with float64 GEMMs; many of the float fixture's near-ties lie
+        # within the float32 screen's error, so search must rescore them
+        assert_stdout_hashes(write_float_search_fixture(tmp_path), FLOAT_FIXTURE_GOLDEN)
