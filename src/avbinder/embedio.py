@@ -1,5 +1,5 @@
-"""Embedding dataset I/O, pairing and splitting, and the bounded reader and
-atomic writer that every file format of the package goes through.
+"""Embedding dataset I/O, pairing and splitting, the bounded reader that
+every binary format goes through, and the atomic writer every format uses.
 
 Two interchange formats, selected by file extension (``.tsv`` for text,
 anything else is the canonical binary):
@@ -17,14 +17,13 @@ TSV: one row per item, ``id TAB v1 TAB ... TAB v_dim`` terminated by ``\\n``,
 no header. Values are written with the shortest decimal that round-trips to
 the same float32, so text round trips are bit-exact too.
 
-Readers check each declared length against the file before allocating, and
-fail with a ``DataFormatError`` naming the file. The binary reader streams:
-it reads the header, takes the id section's length as what the declared
-payload leaves of the file, reads the ids, then reads the payload straight
-into one preallocated float32 array. It never holds the file's bytes and a
-copy of its payload together, so loading peaks at about the payload's size.
-Writers are atomic and byte-deterministic: the same matrix always
-serializes to the same bytes.
+Every binary format of the package (MVBE here, MVBM checkpoints, PGM/PPM
+frames) is read through one ``BinaryReader`` over the open file. It checks
+each declared length against the file's size before allocating, fails with
+a ``DataFormatError`` naming the file, and reads each array straight into
+its own memory, so a load peaks at about its payload's size. Writers are
+atomic and byte-deterministic: the same matrix always serializes to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -51,15 +51,17 @@ from .errors import (
 MAGIC = b"MVBE"
 FORMAT_VERSION = 1
 MAX_ID_BYTES = 0xFFFF  # id length is stored as uint16
-_HEADER_BYTES = 20  # magic, version, dim, count
 
 
 class BinaryReader:
-    """Little-endian cursor over one file's bytes; every read first checks
-    that the file holds the bytes it asks for."""
+    """Little-endian cursor over one open binary file. It takes the file's
+    size once, and every read first checks that the file holds the bytes it
+    asks for, so a declared length past the end fails before anything of
+    that length is allocated."""
 
-    def __init__(self, blob: bytes, source: str) -> None:
-        self.blob = blob
+    def __init__(self, fh: BinaryIO, source: str) -> None:
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
         self.source = source
 
@@ -72,28 +74,36 @@ class BinaryReader:
             raise UnsupportedVersionError(f"{self.source}: unsupported version {found_version}")
 
     def take(self, n: int) -> bytes:
-        start = self._advance(n)
-        return self.blob[start : self.offset]
+        self._advance(n)
+        blob = self.fh.read(n)
+        self._check_read(len(blob), n)
+        return blob
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next prod(shape) float32 values, copied out of the file once."""
-        count = math.prod(shape)
-        start = self._advance(4 * count)
-        return np.frombuffer(self.blob, "<f4", count, start).reshape(shape).copy()
+    def array(self, shape: tuple[int, ...], dtype="<f4") -> np.ndarray:
+        """The next prod(shape) values of ``dtype``, read straight into a
+        fresh array once the file is known to hold them."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        self._advance(nbytes)
+        out = np.empty(shape, dtype)
+        self._check_read(self.fh.readinto(out), nbytes)
+        return out
 
     def finish(self) -> None:
-        if self.offset != len(self.blob):
+        if self.offset != self.size:
             raise TruncatedPayloadError(f"{self.source}: trailing data after byte {self.offset}")
 
-    def _advance(self, n: int) -> int:
-        start = self.offset
-        if start + n > len(self.blob):
-            raise TruncatedPayloadError(f"{self.source}: truncated, {n} bytes needed at byte {start}")
-        self.offset = start + n
-        return start
+    def _advance(self, n: int) -> None:
+        if self.offset + n > self.size:
+            raise TruncatedPayloadError(f"{self.source}: truncated, {n} bytes needed at byte {self.offset}")
+        self.offset += n
+
+    def _check_read(self, got: int, n: int) -> None:
+        # the size was taken at open; a file cut short since then reads less
+        if got != n:
+            raise TruncatedPayloadError(f"{self.source}: truncated while it was read")
 
 
 @contextmanager
@@ -222,19 +232,17 @@ def _encode_binary(m: EmbeddingMatrix) -> bytes:
 
 def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        reader = BinaryReader(fh.read(_HEADER_BYTES), source)
+        reader = BinaryReader(fh, source)
         reader.expect(MAGIC, FORMAT_VERSION)
         dim, count = reader.unpack("<IQ")
         if dim < 1:
             raise DataFormatError(f"{source}: dim must be positive")
         payload_bytes = 4 * count * dim
-        if _HEADER_BYTES + payload_bytes > size:
+        # checked before the ids, which are read one by one until the payload
+        if reader.offset + payload_bytes > reader.size:
             raise TruncatedPayloadError(
-                f"{source}: truncated, {payload_bytes} payload bytes declared in a {size}-byte file"
+                f"{source}: truncated, {payload_bytes} payload bytes declared in a {reader.size}-byte file"
             )
-        # the id section is what the payload leaves after the header
-        reader.blob += fh.read(size - _HEADER_BYTES - payload_bytes)
         ids: list[str] = []
         for _ in range(count):
             (id_len,) = reader.unpack("<H")
@@ -242,10 +250,8 @@ def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
                 ids.append(reader.take(id_len).decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
+        data = reader.array((count, dim))
         reader.finish()
-        data = np.empty((count, dim), "<f4")
-        if fh.readinto(data) != payload_bytes:
-            raise TruncatedPayloadError(f"{source}: truncated while it was read")
     with naming_file(source):
         return EmbeddingMatrix(ids=tuple(ids), data=data)
 

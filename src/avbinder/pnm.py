@@ -1,4 +1,10 @@
-"""Binary PGM (P5) and PPM (P6) reading/writing, maxval 255 only."""
+"""Binary PGM (P5) and PPM (P6) reading/writing, maxval 255 only.
+
+The reader goes through ``embedio.BinaryReader``: the magic and header
+tokens are read from the open file, and the raster straight into the
+returned array once the file is known to hold it, so a declared size past
+the end is a ``TruncatedPayloadError`` before anything is allocated.
+"""
 
 from __future__ import annotations
 
@@ -6,62 +12,51 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedio import write_atomic
-from .errors import BadMagicError, DataFormatError, TruncatedPayloadError
+from .embedio import BinaryReader, write_atomic
+from .errors import BadMagicError, DataFormatError
 
 
-def _read_token(blob: bytes, offset: int, source: str) -> tuple[bytes, int]:
-    # skip whitespace and '#' comment lines between header tokens
-    n = len(blob)
-    while offset < n:
-        c = blob[offset : offset + 1]
+def _read_token(reader: BinaryReader) -> bytes:
+    """Read the next header token, after any whitespace and '#' comment
+    lines, and the one whitespace byte that ends it; return the token."""
+    c = reader.take(1)
+    while c == b"#" or c.isspace():
         if c == b"#":
-            while offset < n and blob[offset : offset + 1] != b"\n":
-                offset += 1
-        elif c.isspace():
-            offset += 1
-        else:
-            break
-    start = offset
-    while offset < n and not blob[offset : offset + 1].isspace():
-        offset += 1
-    if start == offset:
-        raise TruncatedPayloadError(f"{source}: header truncated")
-    return blob[start:offset], offset
+            while reader.take(1) != b"\n":
+                pass
+        c = reader.take(1)
+    token = bytearray()
+    while not c.isspace():
+        token += c
+        c = reader.take(1)
+    return bytes(token)
 
 
 def read_image(path) -> np.ndarray:
     """Load a P5/P6 file as uint8 (H, W) or (H, W, 3)."""
     path = Path(path)
-    blob = path.read_bytes()
     source = path.name
-    if blob[:2] not in (b"P5", b"P6"):
-        raise BadMagicError(f"{source}: not a binary PGM/PPM file")
-    channels = 1 if blob[:2] == b"P5" else 3
-    offset = 2
-    fields = []
-    for _ in range(3):
-        token, offset = _read_token(blob, offset, source)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise DataFormatError(f"{source}: bad header token {token!r}") from exc
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise DataFormatError(f"{source}: bad dimensions {width}x{height}")
-    if maxval != 255:
-        raise DataFormatError(f"{source}: only maxval 255 is supported, got {maxval}")
-    offset += 1  # single whitespace byte after maxval
-    expected = width * height * channels
-    raster = blob[offset : offset + expected]
-    if len(raster) != expected or offset + expected != len(blob):
-        raise TruncatedPayloadError(
-            f"{source}: raster size mismatch (expected {expected} bytes)"
-        )
-    img = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return img.reshape(height, width).copy()
-    return img.reshape(height, width, 3).copy()
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, source)
+        magic = reader.take(2)
+        if magic not in (b"P5", b"P6"):
+            raise BadMagicError(f"{source}: not a binary PGM/PPM file")
+        fields = []
+        for _ in range(3):
+            token = _read_token(reader)
+            try:
+                fields.append(int(token))
+            except ValueError as exc:
+                raise DataFormatError(f"{source}: bad header token {token!r}") from exc
+        width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise DataFormatError(f"{source}: bad dimensions {width}x{height}")
+        if maxval != 255:
+            raise DataFormatError(f"{source}: only maxval 255 is supported, got {maxval}")
+        # the single whitespace byte after maxval ended its token
+        img = reader.array((height, width) if magic == b"P5" else (height, width, 3), np.uint8)
+        reader.finish()
+    return img
 
 
 def write_image(path, img: np.ndarray) -> None:

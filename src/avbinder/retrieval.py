@@ -139,12 +139,6 @@ class RetrievalIndex:
     def count(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """Every float64 unit row, rebuilt on each call: a float64 copy of
-        the library, which search itself never makes."""
-        return self._unit_rows(slice(None))
-
     def _unit_rows(self, cand) -> np.ndarray:
         """The float64 unit rows ``cand``, bit for bit as
         :func:`l2_normalize_rows` of ``rows`` gives them."""

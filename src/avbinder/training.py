@@ -27,9 +27,10 @@ Checkpoint format (little-endian)::
 The block order and the hyperparameter names are ``projection.HEAD_BLOCKS``,
 ``PARAM_FIELDS`` and ``HEAD_HYPERPARAMS``. The writer is byte-deterministic
 and atomic; (seed, config, dataset) fully determine the final checkpoint
-bytes. The loader reads through ``embedio.BinaryReader``, so every block is
-checked against the file length before it is allocated, and any malformed
-or invalid content is a ``DataFormatError`` naming the file.
+bytes. The loader reads the open file through ``embedio.BinaryReader``:
+every block is checked against the file's size before it is allocated and
+then read straight into its array, so a load holds no copy of the file, and
+any malformed or invalid content is a ``DataFormatError`` naming the file.
 """
 
 from __future__ import annotations
@@ -269,25 +270,26 @@ def _block_shape(name: str, d_in: int, d_hid: int, d_out: int) -> tuple[int, ...
 def load_checkpoint(path) -> tuple[BindModel, TrainState]:
     """Inverse of :func:`save_checkpoint`, bit-exact."""
     source = Path(path).name
-    reader = BinaryReader(Path(path).read_bytes(), source)
-    reader.expect(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    tau, d_in_v, d_in_a, d_hid, d_out = reader.unpack(CHECKPOINT_HEADER)
-    heads = [
-        {name: reader.array(_block_shape(name, d_in, d_hid, d_out)) for name in HEAD_BLOCKS}
-        for d_in in (d_in_v, d_in_a)
-    ]
-    # first moments for both heads, then second moments, each block shaped
-    # as the parameter it belongs to
-    m, v = [
-        [{name: reader.array(head[name].shape) for name in PARAM_FIELDS} for head in heads]
-        for _ in ("m", "v")
-    ]
-    step, seed, meta_len = reader.unpack(CHECKPOINT_TRAILER)
-    try:
-        meta = json.loads(reader.take(meta_len).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise TruncatedPayloadError(f"{source}: corrupt checkpoint metadata") from exc
-    reader.finish()
+    with open(path, "rb") as fh:
+        reader = BinaryReader(fh, source)
+        reader.expect(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        tau, d_in_v, d_in_a, d_hid, d_out = reader.unpack(CHECKPOINT_HEADER)
+        heads = [
+            {name: reader.array(_block_shape(name, d_in, d_hid, d_out)) for name in HEAD_BLOCKS}
+            for d_in in (d_in_v, d_in_a)
+        ]
+        # first moments for both heads, then second moments, each block shaped
+        # as the parameter it belongs to
+        m, v = [
+            [{name: reader.array(head[name].shape) for name in PARAM_FIELDS} for head in heads]
+            for _ in ("m", "v")
+        ]
+        step, seed, meta_len = reader.unpack(CHECKPOINT_TRAILER)
+        try:
+            meta = json.loads(reader.take(meta_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise TruncatedPayloadError(f"{source}: corrupt checkpoint metadata") from exc
+        reader.finish()
     if not isinstance(meta, dict) or not all(
         isinstance(meta.get(key, {}), dict) for key in (*HEAD_KEYS, "config")
     ):

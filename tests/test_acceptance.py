@@ -10,7 +10,7 @@ import numpy as np
 
 from helpers import make_clip, otsu_exhaustive, sobel_naive, topk_full_sort, uniform_histogram_frame
 
-from avbinder.binder import BindModel, row_dots
+from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import SplitSpec, load_embeddings, save_embeddings, split_dataset
 from avbinder.projection import PARAM_FIELDS, init_head, head_forward
 from avbinder.retrieval import (
@@ -178,7 +178,7 @@ def test_criterion_4_recall_harness_exactness():
                 EmbeddingMatrix(ids=ids, data=yc.astype(np.float32))
             )
             nq = yq[7] / np.linalg.norm(yq[7])
-            qscores = np.clip(row_dots(nq[None, :], idx.vectors)[0], -1.0, 1.0)
+            qscores = np.clip(row_dots(nq[None, :], l2_normalize_rows(idx.rows))[0], -1.0, 1.0)
             assert list(retrieve_topk(idx, yq[7], k=10).items) == topk_full_sort(
                 ids, qscores, 10
             )

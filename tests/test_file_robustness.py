@@ -118,7 +118,7 @@ class TestReadersFuzz:
         except DataFormatError as exc:
             assert FILE_NAMES[kind] in str(exc)
 
-    @pytest.mark.parametrize("kind", ["mvbe", "mvbm"])
+    @pytest.mark.parametrize("kind", ["mvbe", "mvbm", "pgm", "ppm"])
     def test_every_proper_prefix_is_truncated(self, kind, valid_blobs, scratch):
         blob = valid_blobs[kind]
         for k in range(len(blob)):

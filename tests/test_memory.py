@@ -1,4 +1,5 @@
-"""The search path's transient memory does not grow with the library.
+"""Loading a file holds about its payload, and the search path's transient
+memory does not grow with the library.
 
 numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call, less what was live before it, is what the call held at its
@@ -14,8 +15,10 @@ import pytest
 from avbinder.binder import BindModel, project_audio
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
+from avbinder.pnm import read_image, write_image
 from avbinder.projection import init_head
 from avbinder.retrieval import build_index, retrieve_topk
+from avbinder.training import TrainState, load_checkpoint, save_checkpoint
 
 MB = 1 << 20
 
@@ -44,20 +47,63 @@ def test_load_embeddings_peaks_near_the_payload(tmp_path):
     assert peak <= payload * 1.1 + MB, (peak, payload)
 
 
-def test_declared_payload_past_the_end_fails_before_allocating(tmp_path):
-    m = EmbeddingMatrix(("a", "b"), np.ones((2, 3), np.float32))
-    save_embeddings(m, tmp_path / "m.mvbe")
-    blob = bytearray((tmp_path / "m.mvbe").read_bytes())
-    blob[12:20] = struct.pack("<Q", 2**40)
-    (tmp_path / "m.mvbe").write_bytes(bytes(blob))
+def _mvbe_with_2_40_rows(path):
+    save_embeddings(EmbeddingMatrix(("a", "b"), np.ones((2, 3), np.float32)), path)
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<Q", 2**40)  # count
+    path.write_bytes(bytes(blob))
+
+
+def _mvbm_with_2_31_row_video_w1(path):
+    model = BindModel(video_head=init_head(1, 3, 2, 2), audio_head=init_head(2, 2, 2, 2))
+    save_checkpoint(model, TrainState.for_model(model), path)
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = struct.pack("<I", 2**31)  # video d_in
+    path.write_bytes(bytes(blob))
+
+
+def _pgm_of_4e9_by_4e9(path):
+    path.write_bytes(b"P5\n4000000000 4000000000\n255\n" + bytes(16))
+
+
+@pytest.mark.parametrize(
+    "name, write, load",
+    [
+        ("m.mvbe", _mvbe_with_2_40_rows, load_embeddings),
+        ("m.mvbm", _mvbm_with_2_31_row_video_w1, load_checkpoint),
+        ("f.pgm", _pgm_of_4e9_by_4e9, read_image),
+    ],
+    ids=["mvbe", "mvbm", "pgm"],
+)
+def test_declared_payload_past_the_end_fails_before_allocating(tmp_path, name, write, load):
+    write(tmp_path / name)
     tracemalloc.start()
     try:
-        with pytest.raises(TruncatedPayloadError, match="m.mvbe"):
-            load_embeddings(tmp_path / "m.mvbe")
+        with pytest.raises(TruncatedPayloadError, match=name):
+            load(tmp_path / name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < MB
+
+
+def test_load_checkpoint_peaks_near_the_file_size(tmp_path, model):
+    save_checkpoint(model, TrainState.for_model(model), tmp_path / "model.mvbm")
+    size = (tmp_path / "model.mvbm").stat().st_size
+    (loaded, _state), peak = traced_peak(load_checkpoint, tmp_path / "model.mvbm")
+    assert loaded.video_head.d_in == 1024
+    # the file's bytes and a copy of every block together were twice this
+    assert peak <= size * 1.1 + MB, (peak, size)
+
+
+def test_read_image_peaks_near_the_raster(tmp_path):
+    frame = np.random.default_rng(4).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
+    write_image(tmp_path / "frame.ppm", frame)
+    del frame
+    img, peak = traced_peak(read_image, tmp_path / "frame.ppm")
+    assert img.shape == (1080, 1920, 3)
+    # the file's bytes and a copy of the raster together were twice this
+    assert peak <= img.nbytes * 1.1 + MB, (peak, img.nbytes)
 
 
 @pytest.fixture(scope="module")

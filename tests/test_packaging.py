@@ -1,6 +1,6 @@
 """The declared runtime dependencies are exactly what the package imports,
-the package uses every name it imports, and every public function or class
-has a user outside the tests."""
+the package uses every name it imports, every public function or class
+has a user outside the tests, and files are read in one place."""
 
 import ast
 import re
@@ -139,3 +139,46 @@ def test_every_public_name_has_a_user_outside_the_tests():
     package = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.rglob("*.py"))]
     users = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py"))]
     assert _unreferenced_public(package, users, entry_points) == []
+
+
+_RAW_READS = {"frombuffer", "fromfile", "readinto", "read_bytes"}
+# the one bounded binary reader, and the TSV branch of load_embeddings
+_READERS = {("embedio.py", "BinaryReader"), ("embedio.py", "load_embeddings")}
+
+
+def _raw_reads(source: str) -> set[str]:
+    """Top-level functions and classes (``<module>`` for other statements)
+    that name one of ``_RAW_READS``."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for sub in ast.walk(node):
+            name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+            if name in _RAW_READS:
+                found.add(owner)
+    return found
+
+
+def test_raw_read_scan_sees_leftovers():
+    source = "\n".join([
+        "import numpy as np",
+        "class Reader:",
+        "    def get(self, b):",
+        "        return self.fh.readinto(b)",
+        "def load(p):",
+        "    return np.frombuffer(p.read_bytes())",
+        "def write(p):",
+        "    p.write_bytes(b'')",
+        "blob = open('x', 'rb').read_bytes()",
+    ])
+    assert _raw_reads(source) == {"Reader", "load", "<module>"}
+
+
+def test_files_are_read_only_through_the_bounded_reader():
+    # a hand-rolled reader elsewhere skips the length checks done before allocating
+    found = {
+        (path.name, owner)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner in _raw_reads(path.read_text(encoding="utf-8"))
+    }
+    assert found <= _READERS, found - _READERS

@@ -60,7 +60,6 @@ class TestBuildIndex:
         cand = np.random.default_rng(0).permutation(n)[: n // 2 + 1]
         assert np.array_equal(idx._unit_rows(slice(None)), whole)
         assert np.array_equal(idx._unit_rows(cand), whole[cand])
-        assert np.array_equal(idx.vectors, whole)
         assert np.array_equal(idx.screen, whole.astype(np.float32))
 
     def test_zero_row_rejected(self):
