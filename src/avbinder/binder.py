@@ -150,10 +150,11 @@ def info_nce_backward(s, tau: float) -> np.ndarray:
 
 def _project(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
     """Eval-mode forward of ``x`` in blocks of ``_EVAL_BLOCK_ROWS`` rows,
-    the last one zero-padded, into one array of the head's dtype."""
+    the last one zero-padded, into one array of the head's dtype; 0 rows
+    give a (0, d_out) array."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != head.d_in:
-        raise ValueError(f"expected a non-empty batch of shape (N, {head.d_in}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != head.d_in:
+        raise ValueError(f"expected a batch of shape (N, {head.d_in}), got {x.shape}")
     n, rows = x.shape[0], _EVAL_BLOCK_ROWS
     y = np.empty((n, head.d_out), dtype=head.dtype)
     for start in range(0, n, rows):

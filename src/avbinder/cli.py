@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from . import borders, pnm
 from .binder import BindModel, project_audio, project_video
 from .embedio import (
     EmbeddingMatrix,
+    PairedDataset,
     SplitSpec,
     load_embeddings,
     pair_by_id,
@@ -51,7 +53,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
-_DIRECTIONS = {"v2a": DIRECTION_V2A, "a2v": DIRECTION_A2V}
+# --direction: the Recall@K label, the query side and the candidate side
+_DIRECTIONS = {"v2a": (DIRECTION_V2A, "video", "audio"), "a2v": (DIRECTION_A2V, "audio", "video")}
 _DEFAULT_KS = (1, 5, 10)  # Recall@K cutoffs of train --eval-every and eval
 
 
@@ -234,7 +237,9 @@ def _cmd_train(args) -> int:
         held_out, ks = val, args.k or _DEFAULT_KS
 
         def eval_fn(m: BindModel) -> None:
-            print(recall_at_k(m, held_out, ks=ks).to_line(), file=sys.stderr)
+            pairs = PairedDataset(_projected(m, held_out.video, "video", args.video),
+                                  _projected(m, held_out.audio, "audio", args.audio))
+            print(recall_at_k(pairs, ks=ks).to_line(), file=sys.stderr)
 
     losses = train(model, dataset, cfg, state=state, eval_fn=eval_fn)
     save_checkpoint(model, state, args.out)
@@ -250,12 +255,21 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _projected(model: BindModel, rows: EmbeddingMatrix, side: str, path) -> EmbeddingMatrix:
+    """``rows``, read from ``path``, after the eval-mode projection of the
+    ``side`` head, whose input width they must have."""
+    head, project = (model.video_head, project_video) if side == "video" else (model.audio_head, project_audio)
+    if rows.dim != head.d_in:
+        raise DataFormatError(f"{path}: rows are {rows.dim}-d, but the checkpoint's {side} head takes {head.d_in}-d")
+    return EmbeddingMatrix(ids=rows.ids, data=project(model, rows.data))
+
+
 def _cmd_eval(args) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
-    video = _load_side(args.video, model, "video")
-    audio = _load_side(args.audio, model, "audio")
-    val = pair_by_id(video, audio)
-    report = recall_at_k(model, val, ks=args.k, direction=_DIRECTIONS[args.direction])
+    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are dropped at once
+    # each file is projected as it is read, so only projected rows are paired
+    video = _projected(model, load_embeddings(args.video), "video", args.video)
+    audio = _projected(model, load_embeddings(args.audio), "audio", args.audio)
+    report = recall_at_k(pair_by_id(video, audio), ks=args.k, direction=_DIRECTIONS[args.direction][0])
     if args.format == "line":
         print(report.to_line())
     else:
@@ -263,39 +277,21 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_side(path, model: BindModel, side: str) -> EmbeddingMatrix:
-    """The rows of ``path``, checked against the input width of the ``side`` head."""
-    rows = load_embeddings(path)
-    d_in = (model.video_head if side == "video" else model.audio_head).d_in
-    if rows.dim != d_in:
-        raise DataFormatError(f"{path}: rows are {rows.dim}-d, but the checkpoint's {side} head takes {d_in}-d")
-    return rows
-
-
-def _load_projected(path, model: BindModel, side: str) -> EmbeddingMatrix:
-    """The rows of ``path`` after the eval-mode projection of ``side``; the
-    raw rows are dropped on return, so they never sit beside the index."""
-    raw = _load_side(path, model, side)
-    if raw.count == 0:  # the projection takes at least one row
-        d_out = (model.video_head if side == "video" else model.audio_head).d_out
-        return EmbeddingMatrix(ids=(), data=np.empty((0, d_out), np.float32))
-    project = project_video if side == "video" else project_audio
-    return EmbeddingMatrix(ids=raw.ids, data=project(model, raw.data))
-
-
 def _cmd_retrieve(args) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
-    query_side, cand_side = ("video", "audio") if args.direction == "v2a" else ("audio", "video")
-    queries = _load_projected(args.queries, model, query_side)
-    candidates = _load_projected(args.candidates, model, cand_side)
+    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are dropped at once
+    _, query_side, cand_side = _DIRECTIONS[args.direction]
+    queries = load_embeddings(args.queries)
+    if args.query_id is not None:  # only the asked row is projected
+        if args.query_id not in queries.ids:
+            raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
+        queries = queries.take([queries.ids.index(args.query_id)])
+    queries = _projected(model, queries, query_side, args.queries)
+    candidates = _projected(model, load_embeddings(args.candidates), cand_side, args.candidates)
     if candidates.count == 0:
         raise DataFormatError(f"{args.candidates}: no candidate rows to search")
     index = build_index(candidates)
     if args.query_id is not None:
-        if args.query_id not in queries.ids:
-            raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
-        i = queries.ids.index(args.query_id)
-        results = [retrieve_topk(index, queries.data[i], args.k, query_id=args.query_id)]
+        results = [retrieve_topk(index, queries.data[0], args.k, query_id=args.query_id)]
     else:
         results = retrieve_topk_batch(index, queries.data, args.k, queries.ids)
     for result in results:
@@ -305,6 +301,11 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_crop(args) -> int:
+    if args.out:  # each cropped frame is written under its input's file name
+        names = Counter(Path(path).name for path in args.frames)
+        clash = [path for path in args.frames if names[Path(path).name] > 1]
+        if clash:
+            raise _UsageError(f"avbinder crop: {', '.join(clash)} share a file name; --out would keep one of them")
     frames = [pnm.read_image(f) for f in args.frames]
     # each tuning flag's dest is the BorderParams field it sets
     params = borders.BorderParams(**{f.name: getattr(args, f.name) for f in fields(borders.BorderParams)})

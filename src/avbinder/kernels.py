@@ -1,7 +1,8 @@
 """Hot pixel kernels: 3x3 Sobel correlation and 256-bin histogramming.
 
-These two per-pixel passes dominate the border detector's runtime on large
-frames. Both are vectorized numpy in integer arithmetic, so their results
+Sobel is one of the border detector's costlier per-pixel passes, though
+converting RGB frames to gray (``borders.rgb_to_gray``) costs about twice
+as much. Both are vectorized numpy in integer arithmetic, so their results
 do not depend on summation order: Sobel works in int16 (8-bit input keeps
 every response inside [-1020, 1020]) and the histogram is a ``bincount``.
 """

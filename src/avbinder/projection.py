@@ -53,6 +53,10 @@ class ProjectionHead:
     dropout_p: float = 0.5
 
     def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError unless every hyperparameter is in range and every block is finite."""
         # 0 is admitted (frozen running stats) so the train-mode forward can
         # be a pure function of (head, batch) when dropout is off too
         if not 0.0 <= self.bn_momentum < 1.0:

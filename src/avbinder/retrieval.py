@@ -1,4 +1,4 @@
-"""Exact cosine top-K retrieval and the Recall@K harness.
+"""Exact cosine top-K retrieval and the Recall@K harness, on projected rows.
 
 Scoring is exhaustive (no approximate index); ties are broken by ascending
 id so rankings are a total order and tests can demand exact agreement with
@@ -52,14 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binder import (
-    BindModel,
-    _row_norms,
-    l2_normalize_rows,
-    project_audio,
-    project_video,
-    row_dots,
-)
+from .binder import _row_norms, l2_normalize_rows, row_dots
 from .embedio import EmbeddingMatrix, PairedDataset
 
 DIRECTION_V2A = "video-to-audio"
@@ -204,18 +197,6 @@ def _exact_scores(idx: RetrievalIndex, row: np.ndarray, cand: np.ndarray) -> np.
     return np.clip(np.concatenate(blocks), -1.0, 1.0)
 
 
-def _rank_candidates(
-    idx: RetrievalIndex, nq_row: np.ndarray, cand: np.ndarray, k: int, query_id: str
-) -> RetrievalResult:
-    """Exact scores of the screened candidates, best k by (-score, id)."""
-    scores = _exact_scores(idx, nq_row, cand)
-    order = np.lexsort((idx.id_rank[cand], -scores))[:k]
-    return RetrievalResult(
-        query_id=query_id,
-        items=tuple((idx.ids[cand[i]], float(scores[i])) for i in order),
-    )
-
-
 def retrieve_topk_batch(
     idx: RetrievalIndex, queries: np.ndarray, k: int, query_ids: tuple[str, ...]
 ) -> list[RetrievalResult]:
@@ -235,7 +216,10 @@ def retrieve_topk_batch(
         keep = _screen_topk(idx, block, k)
         for r in range(block.shape[0]):
             cand = np.flatnonzero(keep[r])
-            results.append(_rank_candidates(idx, block[r], cand, k, query_ids[start + r]))
+            scores = _exact_scores(idx, block[r], cand)
+            order = np.lexsort((idx.id_rank[cand], -scores))[:k]  # best k by (-score, id)
+            items = tuple((idx.ids[cand[i]], float(scores[i])) for i in order)
+            results.append(RetrievalResult(query_id=query_ids[start + r], items=items))
     return results
 
 
@@ -289,17 +273,10 @@ def recall_from_projections(
     return RecallReport(direction=direction, query_count=n, recall=recall)
 
 
-def recall_at_k(
-    model: BindModel,
-    val: PairedDataset,
-    ks: list[int],
-    direction: str = DIRECTION_V2A,
-) -> RecallReport:
-    """Project the validation pairs in eval mode and score Recall@K."""
+def recall_at_k(val: PairedDataset, ks: list[int], direction: str = DIRECTION_V2A) -> RecallReport:
+    """Recall@K of already-projected pairs: ``direction`` takes its query
+    rows from one side of ``val`` and its candidates from the other."""
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    yv = project_video(model, val.video.data)
-    ya = project_audio(model, val.audio.data)
-    if direction == DIRECTION_V2A:
-        return recall_from_projections(yv, ya, val.ids, ks, direction)
-    return recall_from_projections(ya, yv, val.ids, ks, direction)
+    query, cand = (val.video, val.audio) if direction == DIRECTION_V2A else (val.audio, val.video)
+    return recall_from_projections(query.data, cand.data, val.ids, ks, direction)

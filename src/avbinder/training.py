@@ -181,7 +181,9 @@ def train(
     eval_fn: Callable[[BindModel], None] | None = None,
 ) -> list[float]:
     """Train in place for ``cfg.epochs`` epochs of floor(count/batch) steps
-    and return the per-step losses, each taken before its update.
+    and return the per-step losses, each taken before its update. A
+    non-finite loss, or a head that no longer loads after an epoch, raises
+    :class:`DivergenceError`.
 
     ``eval_fn`` (if given, together with ``cfg.eval_every``) is called with
     the model every few epochs; train itself never sees validation pairs.
@@ -209,6 +211,11 @@ def train(
         for b in range(steps_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             losses.append(train_step(model, xv_all[idx], xa_all[idx], state, cfg.lr, rng_dropout))
+        try:  # a bad update shows in the next loss; an epoch's last must not reach an eval or a checkpoint
+            model.video_head.check()
+            model.audio_head.check()
+        except ValueError as exc:
+            raise DivergenceError(f"training diverged at step {state.step}: {exc}") from None
         if eval_fn is not None and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:
             eval_fn(model)
     return losses

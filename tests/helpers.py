@@ -83,6 +83,18 @@ def topk_full_sort(ids, scores, k: int):
     return [(ids[i], float(scores[i])) for i in order[:k]]
 
 
+def projected_pairs(model, val):
+    """``val`` with each side through its head's eval-mode projection, the
+    projected pairs that ``recall_at_k`` scores."""
+    from avbinder.binder import project_audio, project_video
+    from avbinder.embedio import EmbeddingMatrix, PairedDataset
+
+    return PairedDataset(
+        video=EmbeddingMatrix(val.ids, project_video(model, val.video.data)),
+        audio=EmbeddingMatrix(val.ids, project_audio(model, val.audio.data)),
+    )
+
+
 def write_integer_search_fixture(root, seed: int = 4, pairs: int = 40):
     """Checkpoint plus paired MVBE files whose projections are exact integers.
 

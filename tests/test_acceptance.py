@@ -8,7 +8,7 @@ from copy import deepcopy
 
 import numpy as np
 
-from helpers import make_clip, otsu_exhaustive, sobel_naive, topk_full_sort, uniform_histogram_frame
+from helpers import make_clip, otsu_exhaustive, projected_pairs, sobel_naive, topk_full_sort, uniform_histogram_frame
 
 from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import SplitSpec, load_embeddings, save_embeddings, split_dataset
@@ -122,9 +122,9 @@ def test_criterion_3_synthetic_binding():
         audio_head=init_head(derive_seed(seed, "audio-head"), d_in=1024),
         temperature=0.07,
     )
-    untrained = recall_at_k(model, val_set, ks=[1, 10]).recall
+    untrained = recall_at_k(projected_pairs(model, val_set), ks=[1, 10]).recall
     train(model, train_set, TrainConfig(seed=seed))
-    trained = recall_at_k(model, val_set, ks=[1, 10]).recall
+    trained = recall_at_k(projected_pairs(model, val_set), ks=[1, 10]).recall
     elapsed = time.perf_counter() - started
 
     assert trained[1] >= 20 * chance
@@ -248,14 +248,14 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
     model, state = load_checkpoint(checkpoints[0])
     val = gen_synthetic(40, 8, 0.1, seed=33, dim=64)
-    before = recall_at_k(model, val, ks=[1, 5, 10]).recall
+    before = recall_at_k(projected_pairs(model, val), ks=[1, 5, 10]).recall
 
     resaved = tmp_path / "resaved.mvbm"
     save_checkpoint(model, state, resaved)
     assert resaved.read_bytes() == checkpoints[0].read_bytes()
 
     reloaded, _ = load_checkpoint(resaved)
-    after = recall_at_k(reloaded, val, ks=[1, 5, 10]).recall
+    after = recall_at_k(projected_pairs(reloaded, val), ks=[1, 5, 10]).recall
     assert before == after
 
     mvbe = tmp_path / "val.mvbe"

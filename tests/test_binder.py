@@ -268,7 +268,11 @@ class TestEvalProjection:
         model, x, whole = model_and_rows
         assert project_video(model, x[:300].astype(np.float64)).tobytes() == whole[:300].tobytes()
 
-    @pytest.mark.parametrize("shape", [(0, 1024), (3, 1023), (1024,)])
+    def test_zero_rows_project_to_an_empty_batch(self, model_and_rows):
+        y = project_video(model_and_rows[0], np.zeros((0, 1024), np.float32))
+        assert y.shape == (0, 256) and y.dtype == np.float32
+
+    @pytest.mark.parametrize("shape", [(3, 1023), (1024,)])
     def test_bad_batch_shape_rejected(self, model_and_rows, shape):
         model = model_and_rows[0]
         with pytest.raises(ValueError, match="shape"):

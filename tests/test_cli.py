@@ -393,6 +393,26 @@ class TestChain:
         assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
 
 
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_final_update_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # the loss is checked before each update, so the one update of this
+        # run went unchecked: it overflowed w1 and the command exited 0 with
+        # a checkpoint that eval rejected
+        rng = np.random.default_rng(0)
+        ids = tuple(f"p{i:02d}" for i in range(64))
+        for side in ("v", "a"):
+            save_embeddings(EmbeddingMatrix(ids, rng.standard_normal((64, 32)).astype(np.float32)),
+                            tmp_path / f"{side}.mvbe")
+        argv = ["train", "--video", str(tmp_path / "v.mvbe"), "--audio", str(tmp_path / "a.mvbe"),
+                "--out", str(tmp_path / "m.mvbm"), "--history", str(tmp_path / "h.tsv"),
+                "--batch", "64", "--epochs", "1", "--lr", "1e39"]
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert "diverged at step 1" in err and "non-finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mvbe", "v.mvbe"]
+
+
 class TestMixedDims:
     """Each head takes its own side's width: 48-d video with 64-d audio."""
 
@@ -534,6 +554,32 @@ class TestCrop:
         code, out, _ = run(["crop", str(p), "--black-threshold", "32"], capsys)
         assert code == 0
         assert out.strip().split("\n")[0] == "left\t0"
+
+    def test_out_rejects_frames_that_share_a_file_name(self, tmp_path, capsys):
+        # the second frame's crop once overwrote the first, and the command
+        # still reported both as written
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "f.pgm"))
+            (tmp_path / sub / "f.pgm").write_bytes(b"not read")  # no frame is read before the check
+        code, out, err = run(["crop", *paths, "--out", str(tmp_path / "o")], capsys)
+        assert code == 1 and out == ""
+        assert paths[0] in err and paths[1] in err and "f.pgm" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_writes_every_distinctly_named_frame(self, tmp_path, capsys):
+        frames = make_clip((5, 5, 0, 0), n_frames=2)
+        paths = []
+        for sub, name, frame in zip(("a", "b"), ("f.pgm", "g.pgm"), frames):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / name))
+            pnm.write_image(paths[-1], frame)
+        code, _, err = run(["crop", *paths, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0 and "wrote 2 cropped frames" in err
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["f.pgm", "g.pgm"]
+        for name, frame in zip(("f.pgm", "g.pgm"), frames):
+            assert np.array_equal(pnm.read_image(tmp_path / "o" / name), frame[5:139, :])
 
     def test_corrupt_frame_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "f.pgm"

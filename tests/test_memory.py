@@ -12,7 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from avbinder import binder
 from avbinder.binder import BindModel, project_audio
+from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
 from avbinder.pnm import read_image, write_image
@@ -147,3 +149,48 @@ def test_topk_makes_no_float64_copy_of_the_library(k):
     # holds one float32 score per row, and rescoring every row (k = count)
     # rebuilds them a block at a time
     assert peak <= 4 * MB, peak
+
+
+def _save_rows(path, prefix, n, dim, rng):
+    ids = tuple(f"{prefix}{i:05d}" for i in range(n))
+    save_embeddings(EmbeddingMatrix(ids, rng.standard_normal((n, dim)).astype(np.float32)), path)
+
+
+def test_eval_peaks_below_its_two_raw_files(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    n = 4000
+    for side in ("video", "audio"):
+        _save_rows(tmp_path / f"{side}.mvbe", "p", n, 1024, rng)
+    small = BindModel(video_head=init_head(1, 1024, 64, 32), audio_head=init_head(2, 1024, 64, 32))
+    save_checkpoint(small, TrainState.for_model(small), tmp_path / "m.mvbm")
+    argv = ["eval", "--checkpoint", str(tmp_path / "m.mvbm"), "--video", str(tmp_path / "video.mvbe"),
+            "--audio", str(tmp_path / "audio.mvbe")]
+    code, peak = traced_peak(run_cli, argv)
+    assert code == 0 and capsys.readouterr().out.count("\n") == 3
+    raw = 2 * n * 1024 * 4
+    # each file is projected as it is read; pairing the raw rows held both
+    # files and their paired copies, twice this
+    assert peak < raw, (peak, raw)
+
+
+def test_retrieve_one_query_projects_one_block(tmp_path, monkeypatch, capsys):
+    # 48-d video queries and 64-d audio candidates tell the heads apart
+    model = BindModel(video_head=init_head(1, 48, 16, 8), audio_head=init_head(2, 64, 16, 8))
+    save_checkpoint(model, TrainState.for_model(model), tmp_path / "m.mvbm")
+    rng = np.random.default_rng(6)
+    _save_rows(tmp_path / "q.mvbe", "q", 600, 48, rng)
+    _save_rows(tmp_path / "c.mvbe", "c", 300, 64, rng)
+    shapes = []
+    real = binder.head_forward
+
+    def spy(head, x, training, rng=None):
+        shapes.append((x.shape, training))
+        return real(head, x, training, rng)
+
+    monkeypatch.setattr(binder, "head_forward", spy)
+    argv = ["retrieve", "--checkpoint", str(tmp_path / "m.mvbm"), "--queries", str(tmp_path / "q.mvbe"),
+            "--candidates", str(tmp_path / "c.mvbe"), "--query-id", "q00321", "--k", "5"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.count("q00321\t") == 5
+    # one block of the query row, then the 300 candidates in two blocks
+    assert shapes == [((256, 48), False)] + [((256, 64), False)] * 2

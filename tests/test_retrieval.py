@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import topk_full_sort
+from helpers import projected_pairs, topk_full_sort
 
 from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import EmbeddingMatrix, PairedDataset
@@ -167,8 +167,8 @@ class TestRecall:
             video=EmbeddingMatrix(ids=ids, data=data),
             audio=EmbeddingMatrix(ids=ids, data=data.copy()),
         )
-        r_v2a = recall_at_k(model, val, [1, 5, 10], DIRECTION_V2A)
-        r_a2v = recall_at_k(model, val, [1, 5, 10], DIRECTION_A2V)
+        r_v2a = recall_at_k(projected_pairs(model, val), [1, 5, 10], DIRECTION_V2A)
+        r_a2v = recall_at_k(projected_pairs(model, val), [1, 5, 10], DIRECTION_A2V)
         assert r_v2a.recall == r_a2v.recall
 
     def test_scale_invariance(self):
@@ -193,8 +193,8 @@ class TestRecall:
             audio=EmbeddingMatrix(ids=ids, data=rng.standard_normal((20, 16)).astype(np.float32)),
         )
         before = {n: getattr(model.video_head, n).copy() for n in ("bn_running_mean", "bn_running_var")}
-        r1 = recall_at_k(model, val, [1, 5])
-        r2 = recall_at_k(model, val, [1, 5])
+        r1 = recall_at_k(projected_pairs(model, val), [1, 5])
+        r2 = recall_at_k(projected_pairs(model, val), [1, 5])
         assert r1.recall == r2.recall  # eval mode: deterministic, no state drift
         assert np.array_equal(model.video_head.bn_running_mean, before["bn_running_mean"])
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_train_step
+from helpers import projected_pairs, reference_train_step
 
 import avbinder
 from avbinder.binder import BindModel
@@ -185,10 +185,10 @@ class TestTrainLoop:
         train_set = data.take(range(240))
         val_set = data.take(range(240, 300))
         model = small_model(seed=6)
-        untrained = recall_at_k(model, val_set, ks=[1]).recall[1]
+        untrained = recall_at_k(projected_pairs(model, val_set), ks=[1]).recall[1]
         cfg = TrainConfig(batch_size=32, epochs=12, seed=5)
         train(model, train_set, cfg)
-        trained = recall_at_k(model, val_set, ks=[1]).recall[1]
+        trained = recall_at_k(projected_pairs(model, val_set), ks=[1]).recall[1]
         assert trained > untrained
 
     def test_heldout_recall_on_noisy_data(self):
@@ -203,7 +203,7 @@ class TestTrainLoop:
             temperature=0.07,
         )
         train(model, train_set, TrainConfig(epochs=10, seed=seed))
-        assert recall_at_k(model, val_set, ks=[1]).recall[1] >= 0.55
+        assert recall_at_k(projected_pairs(model, val_set), ks=[1]).recall[1] >= 0.55
 
     def test_eval_callback_cadence(self):
         data = gen_synthetic(40, 4, 0.1, seed=2, dim=64)
@@ -309,9 +309,9 @@ class TestCheckpoint:
     def test_eval_identical_before_and_after_round_trip(self, tmp_path):
         model, state, path = self.trained_pair(tmp_path)
         val = gen_synthetic(30, 4, 0.1, seed=11, dim=64)
-        before = recall_at_k(model, val, ks=[1, 5, 10]).recall
+        before = recall_at_k(projected_pairs(model, val), ks=[1, 5, 10]).recall
         loaded_model, _ = load_checkpoint(path)
-        after = recall_at_k(loaded_model, val, ks=[1, 5, 10]).recall
+        after = recall_at_k(projected_pairs(loaded_model, val), ks=[1, 5, 10]).recall
         assert before == after
 
     def test_unsupported_version(self, tmp_path):
