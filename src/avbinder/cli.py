@@ -89,8 +89,17 @@ def _number(parse, low=-math.inf, high=math.inf, low_open=False):
 _positive_int = _number(int, 1)
 _non_negative_int = _number(int, 0)
 _seed = _number(int, 0, 2**64 - 1)  # checkpoints store the seed as uint64
-_positive_float = _number(float, 0.0, low_open=True)
 _finite_float = _number(float)
+
+
+def _positive_float32(text: str) -> float:
+    """argparse type of --lr and --tau: a number that stays positive and finite
+    when rounded to float32, the dtype of the heads and the checkpoint's tau."""
+    value = _finite_float(text)
+    with np.errstate(over="ignore", under="ignore"):
+        if not 0.0 < np.float32(value) < math.inf:
+            raise argparse.ArgumentTypeError(f"must stay positive and finite as a float32: {text!r}")
+    return value
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -126,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-audio-out", help="where to write the held-out audio side")
     p.add_argument("--batch", type=_number(int, 2), default=TrainConfig.batch_size)
     p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=_positive_float, default=TrainConfig.lr)
-    p.add_argument("--tau", type=_positive_float, default=TrainConfig.temperature)
+    p.add_argument("--lr", type=_positive_float32, default=TrainConfig.lr)
+    p.add_argument("--tau", type=_positive_float32, default=TrainConfig.temperature)
     p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--eval-every", type=_non_negative_int, default=TrainConfig.eval_every,
@@ -244,9 +253,9 @@ def _cmd_train(args) -> int:
     losses = train(model, dataset, cfg, state=state, eval_fn=eval_fn)
     save_checkpoint(model, state, args.out)
     if args.history:
-        rows = (f"{step}\t{np.format_float_positional(loss, unique=True)}\n"
-                for step, loss in enumerate(losses, start=1))
-        write_atomic(args.history, "".join(rows).encode("utf-8"))
+        lines = (f"{step}\t{np.format_float_positional(loss, unique=True)}\n".encode("utf-8")
+                 for step, loss in enumerate(losses, start=1))
+        write_atomic(args.history, lines)
     print(
         f"trained {len(losses)} steps on {dataset.count} pairs,"
         f" final loss {losses[-1]:.6f}, checkpoint {args.out}",

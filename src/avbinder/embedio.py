@@ -15,15 +15,18 @@ Binary (little-endian throughout)::
 
 TSV: one row per item, ``id TAB v1 TAB ... TAB v_dim`` terminated by ``\\n``,
 no header. Values are written with the shortest decimal that round-trips to
-the same float32, so text round trips are bit-exact too.
+the same float32, so text round trips are bit-exact too. Lines split only at
+``\\n`` (a ``\\r`` before it is dropped). A TSV id has no length limit; an
+MVBE id, whose length is a uint16, holds at most 65535 UTF-8 bytes.
 
 Every binary format of the package (MVBE here, MVBM checkpoints, PGM/PPM
 frames) is read through one ``BinaryReader`` over the open file. It checks
 each declared length against the file's size before allocating, fails with
 a ``DataFormatError`` naming the file, and reads each array straight into
-its own memory, so a load peaks at about its payload's size. Writers are
-atomic and byte-deterministic: the same matrix always serializes to the
-same bytes.
+its own memory, so a load peaks at about its payload's size; TSV is read
+line by line. Every writer hands ``write_atomic`` its file in parts, so no
+file is built whole. Writers are atomic and byte-deterministic: the same
+matrix always serializes to the same bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -117,16 +120,18 @@ def naming_file(source: str):
         raise kind(f"{source}: {exc}") from exc
 
 
-def write_atomic(path, blob: bytes) -> None:
-    """Write ``blob`` to a temporary file beside ``path``, then ``os.replace``
-    it over ``path``: a failed write leaves the old file as it was and no
-    temporary behind. Nothing is fsynced, so this survives a crash of the
-    process, not a power loss."""
+def write_atomic(path, parts: Iterable[bytes | np.ndarray]) -> None:
+    """Write ``parts`` (bytes and C-contiguous arrays) in order to a
+    temporary file beside ``path``, then ``os.replace`` it over ``path``: a
+    failed write, also one a generator of parts raises, leaves the old file
+    as it was and no temporary behind. Nothing is fsynced, so this survives
+    a crash of the process, not a power loss."""
     path = Path(path).resolve()  # a symlinked target is written through, as before
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(blob)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -161,9 +166,6 @@ class EmbeddingMatrix:
             raise DuplicateIdError("duplicate id in embedding matrix")
         if not _all_finite(data):
             raise NonFiniteValueError("non-finite value in embedding matrix")
-        for item_id in ids:
-            if len(item_id.encode("utf-8")) > MAX_ID_BYTES:
-                raise ValueError(f"id longer than {MAX_ID_BYTES} UTF-8 bytes")
         data.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "data", data)
@@ -220,14 +222,14 @@ class SplitSpec:
             raise ValueError("n_val must be non-negative")
 
 
-def _encode_binary(m: EmbeddingMatrix) -> bytes:
-    parts = [struct.pack("<4sIIQ", MAGIC, FORMAT_VERSION, m.dim, m.count)]
+def _binary_parts(m: EmbeddingMatrix):
+    yield struct.pack("<4sIIQ", MAGIC, FORMAT_VERSION, m.dim, m.count)
     for item_id in m.ids:
         raw = item_id.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-    parts.append(np.ascontiguousarray(m.data, dtype="<f4").tobytes())
-    return b"".join(parts)
+        if len(raw) > MAX_ID_BYTES:
+            raise ValueError(f"id of {len(raw)} UTF-8 bytes; MVBE ids are at most {MAX_ID_BYTES}")
+        yield struct.pack("<H", len(raw)) + raw
+    yield np.ascontiguousarray(m.data, dtype="<f4")
 
 
 def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
@@ -256,48 +258,44 @@ def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
         return EmbeddingMatrix(ids=tuple(ids), data=data)
 
 
-def _format_f32(value: np.float32) -> str:
-    # Shortest decimal that parses back to the identical float32.
-    return np.format_float_positional(value, unique=True)
-
-
-def _encode_tsv(m: EmbeddingMatrix) -> bytes:
-    lines = []
+def _tsv_lines(m: EmbeddingMatrix):
     for item_id, row in zip(m.ids, m.data):
         if "\t" in item_id or "\n" in item_id or "\r" in item_id:
             raise ValueError(f"id {item_id!r} contains TSV delimiter characters")
-        lines.append(item_id + "\t" + "\t".join(_format_f32(v) for v in row) + "\n")
-    return "".join(lines).encode("utf-8")
+        # each value as the shortest decimal that parses back to the identical float32
+        values = "\t".join(np.format_float_positional(v, unique=True) for v in row)
+        yield f"{item_id}\t{values}\n".encode("utf-8")
 
 
-def _decode_tsv(blob: bytes, source: str) -> EmbeddingMatrix:
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{source}: not valid UTF-8 text") from exc
+def _load_tsv(path: Path, source: str) -> EmbeddingMatrix:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     dim: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise DataFormatError(f"{source}:{lineno}: expected id + values")
-        if dim is None:
-            dim = len(fields) - 1
-        elif len(fields) - 1 != dim:
-            raise TruncatedPayloadError(
-                f"{source}:{lineno}: expected {dim} values, found {len(fields) - 1}"
-            )
-        ids.append(fields[0])
-        try:
-            with np.errstate(over="raise"):
-                rows.append(np.array([float(f) for f in fields[1:]], dtype=np.float32))
-        except ValueError as exc:
-            raise DataFormatError(f"{source}:{lineno}: unparseable value") from exc
-        except FloatingPointError as exc:  # finite as a double, inf as float32
-            raise NonFiniteValueError(f"{source}:{lineno}: value outside float32 range") from exc
+    with open(path, "rb") as fh:  # binary lines split only at b"\n"
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{source}:{lineno}: not valid UTF-8 text") from exc
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) < 2:
+                raise DataFormatError(f"{source}:{lineno}: expected id + values")
+            if dim is None:
+                dim = len(fields) - 1
+            elif len(fields) - 1 != dim:
+                raise TruncatedPayloadError(
+                    f"{source}:{lineno}: expected {dim} values, found {len(fields) - 1}"
+                )
+            ids.append(fields[0])
+            try:
+                with np.errstate(over="raise"):
+                    rows.append(np.array([float(f) for f in fields[1:]], dtype=np.float32))
+            except ValueError as exc:
+                raise DataFormatError(f"{source}:{lineno}: unparseable value") from exc
+            except FloatingPointError as exc:  # finite as a double, inf as float32
+                raise NonFiniteValueError(f"{source}:{lineno}: value outside float32 range") from exc
     if dim is None:
         raise DataFormatError(f"{source}: empty TSV file")
     with naming_file(source):
@@ -311,18 +309,14 @@ def save_embeddings(m: EmbeddingMatrix, path) -> None:
     # afterwards; re-check before any bytes hit the disk.
     if not _all_finite(m.data):
         raise NonFiniteValueError("non-finite value in embedding matrix")
-    if path.suffix == ".tsv":
-        blob = _encode_tsv(m)
-    else:
-        blob = _encode_binary(m)
-    write_atomic(path, blob)
+    write_atomic(path, _tsv_lines(m) if path.suffix == ".tsv" else _binary_parts(m))
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
     """Read an embedding matrix from ``path``; format chosen by extension."""
     path = Path(path)
     if path.suffix == ".tsv":
-        return _decode_tsv(path.read_bytes(), path.name)
+        return _load_tsv(path, path.name)
     return _load_binary(path, path.name)
 
 

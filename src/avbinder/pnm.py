@@ -70,5 +70,4 @@ def write_image(path, img: np.ndarray) -> None:
         height, width = img.shape[:2]
     else:
         raise ValueError(f"expected (H, W) or (H, W, 3) uint8 image, got {img.shape}")
-    header = magic + f"\n{width} {height}\n255\n".encode("ascii")
-    write_atomic(path, header + img.tobytes())
+    write_atomic(path, (magic + f"\n{width} {height}\n255\n".encode("ascii"), img))

@@ -246,9 +246,6 @@ def adam_step(
     v: np.ndarray,
     t: int,
     lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
 ) -> None:
     """One Adam update of ``param``, ``m`` and ``v``, in place.
 
@@ -257,19 +254,19 @@ def adam_step(
     formed in two scratch buffers before it is subtracted from ``param``.
     """
     g = np.asarray(grad, dtype=param.dtype)
-    step = np.multiply(g, 1.0 - beta1)
-    denom = np.multiply(g, 1.0 - beta2)
+    step = np.multiply(g, 1.0 - ADAM_BETA1)
+    denom = np.multiply(g, 1.0 - ADAM_BETA2)
     denom *= g
-    m *= beta1
+    m *= ADAM_BETA1
     m += step
-    v *= beta2
+    v *= ADAM_BETA2
     v += denom
     # the buffers held the moment increments; now lr * m_hat and sqrt(v_hat) + eps, then the step
-    np.divide(m, 1.0 - beta1**t, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     step *= lr
-    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step /= denom
     param -= step
 

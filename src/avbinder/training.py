@@ -261,13 +261,13 @@ def save_checkpoint(model: BindModel, state: TrainState, path) -> None:
     opts = (state.video_opt, state.audio_opt)
     blocks = [getattr(head, name) for head in heads for name in HEAD_BLOCKS]
     blocks += [getattr(opt, kind)[name] for kind in ("m", "v") for opt in opts for name in PARAM_FIELDS]
-    parts = [
+    write_atomic(path, [
         struct.pack("<4sI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION),
         struct.pack(CHECKPOINT_HEADER, model.temperature, video.d_in, audio.d_in, video.d_hid, video.d_out),
-    ]
-    parts += [np.ascontiguousarray(block, dtype="<f4").tobytes() for block in blocks]
-    parts += [struct.pack(CHECKPOINT_TRAILER, state.step, state.seed, len(meta_blob)), meta_blob]
-    write_atomic(path, b"".join(parts))
+        *(np.ascontiguousarray(block, dtype="<f4") for block in blocks),
+        struct.pack(CHECKPOINT_TRAILER, state.step, state.seed, len(meta_blob)),
+        meta_blob,
+    ])
 
 
 def _block_shape(name: str, d_in: int, d_hid: int, d_out: int) -> tuple[int, ...]:

@@ -83,6 +83,9 @@ class TestUsage:
             ("train", "--tau", "-1"),
             ("train", "--tau", "nan"),
             ("train", "--lr", "0"),
+            ("train", "--lr", "1e39"),
+            ("train", "--tau", "1e39"),
+            ("train", "--tau", "1e-50"),
             ("train", "--n-val", "-5"),
             ("train", "--eval-every", "-1"),
             ("gen-synthetic", "--noise", "-1"),
@@ -398,7 +401,8 @@ class TestDivergence:
     def test_non_finite_final_update_exits_3_and_writes_nothing(self, tmp_path, capsys):
         # the loss is checked before each update, so the one update of this
         # run went unchecked: it overflowed w1 and the command exited 0 with
-        # a checkpoint that eval rejected
+        # a checkpoint that eval rejected. The rate is finite as a float32,
+        # but the low temperature lifts gradients above 1 and lr * m_hat overflows
         rng = np.random.default_rng(0)
         ids = tuple(f"p{i:02d}" for i in range(64))
         for side in ("v", "a"):
@@ -406,7 +410,7 @@ class TestDivergence:
                             tmp_path / f"{side}.mvbe")
         argv = ["train", "--video", str(tmp_path / "v.mvbe"), "--audio", str(tmp_path / "a.mvbe"),
                 "--out", str(tmp_path / "m.mvbm"), "--history", str(tmp_path / "h.tsv"),
-                "--batch", "64", "--epochs", "1", "--lr", "1e39"]
+                "--batch", "64", "--epochs", "1", "--lr", "3e38", "--tau", "1e-3"]
         code, out, err = run(argv, capsys)
         assert code == 3 and out == ""
         assert "diverged at step 1" in err and "non-finite" in err

@@ -185,6 +185,35 @@ class TestTsvFormat:
         with pytest.raises(DataFormatError, match="m.tsv"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_ids_with_other_line_breaks_round_trip(self, tmp_path, char):
+        # str.splitlines breaks lines at these too; the writer ends lines only at "\n"
+        m = random_matrix(n=3, dim=4, ids=("a", f"b{char}c", f"{char}d{char}"))
+        save_embeddings(m, tmp_path / "m.tsv")
+        assert bitwise_equal(load_embeddings(tmp_path / "m.tsv"), m)
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        m = random_matrix(n=4, dim=3)
+        save_embeddings(m, tmp_path / "m.tsv")
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes((tmp_path / "m.tsv").read_bytes().replace(b"\n", b"\r\n"))
+        assert bitwise_equal(load_embeddings(crlf), m)
+
+    def test_long_id_is_tsv_only(self, tmp_path):
+        long_id = "\u00e9" * 35_000  # 70,000 UTF-8 bytes
+        (tmp_path / "hand.tsv").write_bytes(f"{long_id}\t1.5\t-2\nb\t0\t3\n".encode("utf-8"))
+        m = load_embeddings(tmp_path / "hand.tsv")
+        assert m.ids == (long_id, "b") and m.data.tolist() == [[1.5, -2.0], [0.0, 3.0]]
+        save_embeddings(m, tmp_path / "m.tsv")
+        assert bitwise_equal(load_embeddings(tmp_path / "m.tsv"), m)
+        # MVBE stores an id's length as a uint16
+        with pytest.raises(ValueError, match="65535"):
+            save_embeddings(m, tmp_path / "m.mvbe")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hand.tsv", "m.tsv"]
+        at_limit = EmbeddingMatrix(("x" * 65535,), np.ones((1, 2), np.float32))
+        save_embeddings(at_limit, tmp_path / "m.mvbe")
+        assert bitwise_equal(load_embeddings(tmp_path / "m.mvbe"), at_limit)
+
 
 class TestPairing:
     def test_intersection_sorted(self):

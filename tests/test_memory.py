@@ -1,5 +1,5 @@
-"""Loading a file holds about its payload, and the search path's transient
-memory does not grow with the library.
+"""Loading a file holds about its payload, writing one holds no copy of
+it, and the search path's transient memory does not grow with the library.
 
 numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call, less what was live before it, is what the call held at its
@@ -47,6 +47,43 @@ def test_load_embeddings_peaks_near_the_payload(tmp_path):
     assert loaded.count == 4000
     # the whole file and a copy of its payload together were twice this
     assert peak <= payload * 1.1 + MB, (peak, payload)
+
+
+@pytest.fixture(scope="module")
+def library():
+    """2000 x 1024 float32 rows, a 7.8 MiB payload."""
+    rng = np.random.default_rng(7)
+    ids = tuple(f"trk-{i:05d}" for i in range(2000))
+    return EmbeddingMatrix(ids, rng.standard_normal((2000, 1024)).astype(np.float32))
+
+
+def test_save_embeddings_mvbe_holds_no_copy(tmp_path, library):
+    _, peak = traced_peak(save_embeddings, library, tmp_path / "lib.mvbe")
+    # the parts of the file, then their join, took twice the payload
+    assert peak <= MB, peak
+
+
+def test_tsv_is_written_and_read_line_by_line(tmp_path, library):
+    _, peak = traced_peak(save_embeddings, library, tmp_path / "lib.tsv")
+    # the text of every line, its join and its encoding took eight times the payload
+    assert peak <= MB, peak
+    loaded, peak = traced_peak(load_embeddings, tmp_path / "lib.tsv")
+    assert loaded.data.tobytes() == library.data.tobytes()
+    # the whole file, its decoded text and every line's fields took nine times the payload
+    assert peak <= 2.5 * library.data.nbytes, (peak, library.data.nbytes)
+
+
+def test_save_checkpoint_holds_no_copy(tmp_path, model):
+    _, peak = traced_peak(save_checkpoint, model, TrainState.for_model(model), tmp_path / "model.mvbm")
+    # a bytes copy of every block, then their join, took twice the 15 MiB file
+    assert peak <= MB, peak
+
+
+def test_write_image_holds_no_copy(tmp_path):
+    frame = np.random.default_rng(4).integers(0, 256, (1080, 1920, 3), dtype=np.uint8)
+    _, peak = traced_peak(write_image, tmp_path / "frame.ppm", frame)
+    # the raster's bytes, then header + raster, took twice the 5.9 MiB raster
+    assert peak <= MB, peak
 
 
 def _mvbe_with_2_40_rows(path):

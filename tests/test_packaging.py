@@ -142,8 +142,8 @@ def test_every_public_name_has_a_user_outside_the_tests():
 
 
 _RAW_READS = {"frombuffer", "fromfile", "readinto", "read_bytes"}
-# the one bounded binary reader, and the TSV branch of load_embeddings
-_READERS = {("embedio.py", "BinaryReader"), ("embedio.py", "load_embeddings")}
+# the one bounded binary reader; TSV is read line by line from the open file
+_READERS = {("embedio.py", "BinaryReader")}
 
 
 def _raw_reads(source: str) -> set[str]:
