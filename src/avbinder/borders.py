@@ -4,14 +4,16 @@ Frames flow through seven stages: (1) frames whose intensity-histogram
 spread is tiny are classified borderless and skipped; otherwise (2) the
 frame is binarized at the Otsu threshold of the same histogram (each frame
 is histogrammed once, for both stages), (3) Sobel gradients of the binary
-image are taken, (4) rows/columns whose gradient response is strong across
-most of their length become border-line candidates annotated with strip
-statistics from the original frame, (5) candidates whose outer strip is not
-near-black, has no near-black mirror across the frame center, or does not
-contrast with the interior are dropped, (6) surviving candidate depths
-are unified across frames by non-maximum suppression, and (7) the winning
-depths form the crop rectangle (falling back to the full frame when the
-result would keep less than ``MIN_AREA_FRACTION`` of the area).
+image are taken (the pipeline takes them of its 0/1 mask, with the edge
+threshold scaled to match), (4) rows/columns whose gradient response is
+strong across most of their length become border-line candidates annotated
+with strip statistics from the original frame, (5) candidates whose outer
+strip is not near-black, has no near-black mirror across the frame center,
+or does not contrast with the interior are dropped, (6) surviving
+candidate depths are unified across frames by non-maximum suppression, and
+(7) the winning depths form the crop rectangle (falling back to the full
+frame when the result would keep less than ``MIN_AREA_FRACTION`` of the
+area).
 
 A candidate carries its ``side`` (one of ``SIDES``) and its ``depth``, the
 border's thickness in rows or columns from that side's frame edge, both
@@ -26,7 +28,7 @@ Every stage takes its thresholds from one ``BorderParams``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,23 +79,65 @@ class CropRect:
         return self.bottom - self.top
 
 
-def rgb_to_gray(img: np.ndarray) -> np.ndarray:
-    """Rec.601 luma ``floor(0.299*R + 0.587*G + 0.114*B + 0.5)`` as uint8.
+_LUMA_WEIGHTS = np.array([299, 587, 114], np.float32)  # Rec.601, times 1000
+_LUMA_BLOCK_ROWS = 64  # rows per pass of the float32 luma sum
 
-    The sum is formed in float64, where the weights are not exact, so an
-    exact .5 tie may land just below it and round down: (17, 91, 0) has luma
-    58.5 and gives 58. Gray frames pass through; any dtype but uint8 is
-    rejected rather than cast (a [0, 1] float frame would become all zeros).
-    """
+
+def _check_frame(img: np.ndarray) -> np.ndarray:
+    """A uint8 gray (H, W) or RGB (H, W, 3) frame, else ValueError."""
     img = np.asarray(img)
     if img.dtype != np.uint8:
         raise ValueError(f"expected a uint8 image, got dtype {img.dtype}")
+    if img.ndim != 2 and (img.ndim != 3 or img.shape[2] != 3):
+        raise ValueError(f"expected (H, W) or (H, W, 3) image, got {img.shape}")
+    return img
+
+
+def rgb_to_gray(img: np.ndarray) -> np.ndarray:
+    """Rec.601 luma ``floor(0.299*R + 0.587*G + 0.114*B + 0.5)`` as uint8,
+    the float64 expression bit for bit.
+
+    That expression's weights are not exact in float64, so an exact .5 tie
+    may land just below it and round down: (17, 91, 0) has luma 58.5 and
+    gives 58. Away from ties it equals ``q = floor(s / 1000)`` with the
+    integer ``s = 299*R + 587*G + 114*B + 500``. Every product and partial
+    sum of ``s`` is an integer below 2^24, so ``s`` is exact in float32 in
+    any summation order (it is a BLAS product over the channels), and ``floor(s * 0.001)`` in float32 is ``q``: the
+    float32 0.001 lies above 1/1000, and a non-tie's fraction is at least
+    0.001. The ties are where ``q * 1000 == s``; only those pixels are
+    recomputed with the float64 expression. The sum runs over blocks of
+    rows in reused float32 buffers.
+
+    Gray frames pass through; any dtype but uint8 is rejected rather than
+    cast (a [0, 1] float frame would become all zeros).
+    """
+    img = _check_frame(img)
     if img.ndim == 2:
         return img
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError(f"expected (H, W) or (H, W, 3) image, got {img.shape}")
-    luma = img[..., 0] * 0.299 + img[..., 1] * 0.587 + img[..., 2] * 0.114
-    return np.floor(luma + 0.5).astype(np.uint8)
+    height, width = img.shape[:2]
+    gray = np.empty((height, width), np.uint8)
+    rows = min(_LUMA_BLOCK_ROWS, height)
+    channels = np.empty((rows, width, 3), np.float32)
+    total = np.empty((rows, width), np.float32)
+    scaled = np.empty((rows, width), np.float32)
+    tie = np.empty((rows, width), np.bool_)
+    for start in range(0, height, rows):
+        block = img[start : start + rows]
+        out = gray[start : start + rows]
+        n = block.shape[0]
+        s, q, t = total[:n], scaled[:n], tie[:n]
+        np.copyto(channels[:n], block)
+        np.matmul(channels[:n], _LUMA_WEIGHTS, out=s)
+        s += np.float32(500)
+        np.multiply(s, np.float32(0.001), out=q)
+        np.floor(q, out=q)
+        np.copyto(out, q, casting="unsafe")
+        q *= np.float32(1000)
+        if np.equal(q, s, out=t).any():
+            px = block[t]
+            luma = px[:, 0] * 0.299 + px[:, 1] * 0.587 + px[:, 2] * 0.114
+            out[t] = np.floor(luma + 0.5)
+    return gray
 
 
 def _check_gray(img: np.ndarray) -> np.ndarray:
@@ -153,13 +197,20 @@ def otsu_threshold(counts: np.ndarray) -> int:
 
 
 def binarize(img: np.ndarray, threshold: int) -> np.ndarray:
-    """pixel > threshold -> 255 else 0."""
+    """pixel > threshold -> 255 else 0, as uint8.
+
+    The comparison's bool bytes are 0 or 1, so viewed as uint8 and scaled
+    by 255 in place they are the 0/255 image, with no second array.
+    """
     img = _check_gray(img)
-    return np.where(img > threshold, np.uint8(255), np.uint8(0))
+    binary = np.greater(img, threshold).view(np.uint8)
+    binary *= np.uint8(255)
+    return binary
 
 
 def sobel_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed Sobel gradient maps (Gx, Gy), replicate-padded, same shape."""
+    """Signed Sobel gradient maps (Gx, Gy), replicate-padded, same shape:
+    int8 for a bool mask, int16 for any other image (``sobel_gradients``)."""
     img = _check_gray(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError(f"image too small for 3x3 Sobel: {img.shape}")
@@ -232,8 +283,11 @@ def extract_edge_candidates(
     img = _check_gray(img)
     if gx.shape != img.shape or gy.shape != img.shape:
         raise ValueError("gradient maps must match the image shape")
-    row_frac = (np.abs(gy) >= params.edge_magnitude).mean(axis=1)
-    col_frac = (np.abs(gx) >= params.edge_magnitude).mean(axis=0)
+    # an edge count over the line length is the float64 mean of the edge
+    # flags, bit for bit; the count's type is the narrowest that holds it
+    height, width = img.shape
+    row_frac = (np.abs(gy) >= params.edge_magnitude).sum(axis=1, dtype=np.min_scalar_type(width)) / width
+    col_frac = (np.abs(gx) >= params.edge_magnitude).sum(axis=0, dtype=np.min_scalar_type(height)) / height
     cands = _axis_candidates(row_frac, img, ("top", "bottom"), params.edge_fraction)
     cands += _axis_candidates(col_frac, img.T, ("left", "right"), params.edge_fraction)
     return cands
@@ -314,31 +368,35 @@ def detect_crop_rect(
 ) -> CropRect:
     """Run the full pipeline over a clip's frames and return the crop.
 
+    Every frame's dtype and shape is checked first; then each is converted
+    to gray and examined in turn, so only one gray copy is alive at a time.
     Sides with no surviving unified depth stay at the frame boundary; a crop
     that would retain less than ``MIN_AREA_FRACTION`` of the frame (or is
     inconsistent) falls back to the full frame.
     """
     if not frames:
         raise ValueError("empty frame list")
-    grays = [rgb_to_gray(f) for f in frames]
-    shape = grays[0].shape
-    if any(g.shape != shape for g in grays):
+    frames = [_check_frame(f) for f in frames]  # every frame, before any work
+    height, width = frames[0].shape[:2]
+    if any(f.shape[:2] != (height, width) for f in frames):
         raise ValueError("frames must share dimensions")
-    height, width = shape
 
+    # The Otsu image is 0/255, so its Sobel response is 255 times that of
+    # its 0/1 mask, an integer d in [-4, 4]: |G| >= m exactly when
+    # |d| >= ceil(m / 255). The mask's int8 Sobel then gives the same edges.
+    mask_params = replace(params, edge_magnitude=-(-params.edge_magnitude // 255))
     per_frame: list[list[EdgeCandidate]] = []
-    for gray in grays:
-        if height < 3 or width < 3:
-            per_frame.append([])
-            continue
-        counts = hist256(gray)  # shared by the gate and Otsu
-        if histogram_std(counts) < params.hist_std_threshold:
-            per_frame.append([])  # borderless frame, contributes nothing
-            continue
-        binary = binarize(gray, otsu_threshold(counts))
-        gx, gy = sobel_edges(binary)
-        cands = extract_edge_candidates(gx, gy, gray, params)
-        per_frame.append(fold_filter(cands, params))
+    if height >= 3 and width >= 3:
+        for frame in frames:  # one gray copy at a time
+            gray = rgb_to_gray(frame)
+            counts = hist256(gray)  # shared by the gate and Otsu
+            if histogram_std(counts) < params.hist_std_threshold:
+                per_frame.append([])  # borderless frame, contributes nothing
+                continue
+            mask = binarize(gray, otsu_threshold(counts)) > 0
+            gx, gy = sobel_edges(mask)
+            cands = extract_edge_candidates(gx, gy, gray, mask_params)
+            per_frame.append(fold_filter(cands, params))
 
     depth = dict.fromkeys(SIDES, 0) | nms_unify(per_frame, params)
     left, top = depth["left"], depth["top"]

@@ -23,9 +23,10 @@ Every binary format of the package (MVBE here, MVBM checkpoints, PGM/PPM
 frames) is read through one ``BinaryReader`` over the open file. It checks
 each declared length against the file's size before allocating, fails with
 a ``DataFormatError`` naming the file, and reads each array straight into
-its own memory, so a load peaks at about its payload's size; TSV is read
-line by line. Every writer hands ``write_atomic`` its file in parts, so no
-file is built whole. Writers are atomic and byte-deterministic: the same
+its own memory, so a load peaks at about its payload's size. TSV is read
+line by line into one float32 block, sized by a first byte pass. Every
+writer hands ``write_atomic`` its file in parts, so no file is built
+whole. Writers are atomic and byte-deterministic: the same
 matrix always serializes to the same bytes.
 """
 
@@ -267,11 +268,34 @@ def _tsv_lines(m: EmbeddingMatrix):
         yield f"{item_id}\t{values}\n".encode("utf-8")
 
 
+_BLANK_LINES = (b"\n", b"\r\n", b"\r")  # what a line holds that decodes to no text
+
+
+def _tsv_shape(fh) -> tuple[int, int]:
+    """(rows, tabs per row) of the leading non-blank lines of ``fh`` whose
+    tab count matches the first one's: a bound on the rows a valid file
+    holds, found without decoding. A tab is one byte in UTF-8, so a row's
+    tab count is its value count, and the block holds no more values than
+    the file has tabs."""
+    rows = tabs = 0
+    for raw in fh:
+        if raw in _BLANK_LINES:
+            continue
+        if rows == 0:
+            tabs = raw.count(b"\t")
+        elif raw.count(b"\t") != tabs:
+            break  # the second pass fails at this line, or at an earlier one
+        rows += 1
+    return rows, tabs
+
+
 def _load_tsv(path: Path, source: str) -> EmbeddingMatrix:
     ids: list[str] = []
-    rows: list[np.ndarray] = []
     dim: int | None = None
     with open(path, "rb") as fh:  # binary lines split only at b"\n"
+        # one byte pass sizes the float32 block, the second fills it row by row
+        data = np.empty(_tsv_shape(fh), np.float32)
+        fh.seek(0)
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
@@ -288,18 +312,22 @@ def _load_tsv(path: Path, source: str) -> EmbeddingMatrix:
                 raise TruncatedPayloadError(
                     f"{source}:{lineno}: expected {dim} values, found {len(fields) - 1}"
                 )
-            ids.append(fields[0])
+            if len(ids) == len(data) or dim != data.shape[1]:
+                raise TruncatedPayloadError(f"{source}:{lineno}: the file changed while it was read")
             try:
                 with np.errstate(over="raise"):
-                    rows.append(np.array([float(f) for f in fields[1:]], dtype=np.float32))
+                    data[len(ids)] = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise DataFormatError(f"{source}:{lineno}: unparseable value") from exc
             except FloatingPointError as exc:  # finite as a double, inf as float32
                 raise NonFiniteValueError(f"{source}:{lineno}: value outside float32 range") from exc
+            ids.append(fields[0])
     if dim is None:
         raise DataFormatError(f"{source}: empty TSV file")
+    if len(ids) != len(data):
+        raise TruncatedPayloadError(f"{source}: the file changed while it was read")
     with naming_file(source):
-        return EmbeddingMatrix(ids=tuple(ids), data=np.stack(rows))
+        return EmbeddingMatrix(ids=tuple(ids), data=data)
 
 
 def save_embeddings(m: EmbeddingMatrix, path) -> None:

@@ -77,6 +77,21 @@ def sobel_naive(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
+def luma_float64(rgb: np.ndarray) -> np.ndarray:
+    """Rec.601 luma as the float64 expression ``floor(0.299*R + 0.587*G +
+    0.114*B + 0.5)``, evaluated left to right, as uint8."""
+    luma = rgb[..., 0] * 0.299 + rgb[..., 1] * 0.587 + rgb[..., 2] * 0.114
+    return np.floor(luma + 0.5).astype(np.uint8)
+
+
+def all_rgb_triples(red: range) -> np.ndarray:
+    """Every (R, G, B) with R in ``red``, as a (len(red) * 256, 256, 3)
+    uint8 image: R by row block, G by row, B by column."""
+    r, g, b = np.meshgrid(np.asarray(red, np.uint8), np.arange(256, dtype=np.uint8),
+                          np.arange(256, dtype=np.uint8), indexing="ij")
+    return np.stack([r, g, b], axis=-1).reshape(-1, 256, 3)
+
+
 def topk_full_sort(ids, scores, k: int):
     """Reference top-k: full sort by (-score, id)."""
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    all_rgb_triples,
+    luma_float64,
     make_bordered_frame,
     make_clip,
     otsu_exhaustive,
@@ -357,6 +359,24 @@ class TestGrayConversion:
         # the tie; an integer (299R + 587G + 114B + 500) // 1000 form gives 59
         assert rgb_to_gray(np.array([[[17, 91, 0]]], np.uint8)).tolist() == [[58]]
 
+    def test_every_rgb_triple_matches_the_float64_formula(self):
+        # all 2^24 triples, 16 red values at a time; the float32 integer sum
+        # must reproduce the float64 expression, its round-down ties included
+        for red in range(0, 256, 16):
+            rgb = all_rgb_triples(range(red, red + 16))
+            assert np.array_equal(rgb_to_gray(rgb), luma_float64(rgb)), red
+
+    def test_ties_are_recomputed_in_any_row_block(self):
+        # a frame of (17, 91, 0) ties, taller than one block of the sum and
+        # with a partial last block, in a non-contiguous view
+        rgb = np.zeros((7, 150, 3), np.uint8)
+        rgb[::2] = (17, 91, 0)
+        rgb[1::2, 1::3] = (3, 4, 5)
+        view = rgb.transpose(1, 0, 2)  # 150 rows: two full blocks and a partial one
+        gray = rgb_to_gray(view)
+        assert np.array_equal(gray, luma_float64(view))
+        assert (gray[:, ::2] == 58).all()
+
     @pytest.mark.parametrize(
         "frame",
         [np.full((8, 8, 3), 0.5), np.full((8, 8), 300, np.uint16)],
@@ -476,3 +496,48 @@ BORDER_STAGE_GOLDEN = {
 
 def test_stage_outputs_match_golden_hashes():
     assert _stage_hashes() == BORDER_STAGE_GOLDEN
+
+
+@pytest.fixture(scope="module")
+def edge_inputs():
+    """(frames, [(gray, Gx, Gy) of every ungated frame]) for each
+    ``_golden_clips()`` clip and for a two-level frame of random bits,
+    whose Otsu mask has Sobel responses of every |d| from 0 to 4."""
+    bits = np.random.default_rng(12).random((40, 48)) < 0.5
+    clips = _golden_clips() + [[np.where(bits, 200, 10).astype(np.uint8)]]
+    inputs = []
+    for frames in clips:
+        staged = []
+        for frame in frames:
+            gray = rgb_to_gray(frame)
+            counts = hist256(gray)
+            if histogram_std(counts) >= BorderParams.hist_std_threshold:
+                staged.append((gray, *sobel_edges(binarize(gray, otsu_threshold(counts)))))
+        inputs.append((frames, staged))
+    mx, my = sobel_naive(bits.astype(np.uint8))
+    assert set(np.abs(mx).ravel()) == set(np.abs(my).ravel()) == {0, 1, 2, 3, 4}
+    return inputs
+
+
+@pytest.mark.parametrize("magnitude", [0, 1, 127, 128, 129, 255, 256, 510, 511, 765, 766, 1020, 1021])
+def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch, magnitude):
+    # the pipeline thresholds its mask's Sobel at ceil(m / 255); the public
+    # stages threshold the 0/255 image's at m
+    seen = []
+    real = borders.extract_edge_candidates
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(borders, "extract_edge_candidates", spy)
+    found = 0
+    for edge_fraction in (0.6, 0.3, 0.05):  # the low ones let the random-bits frame pass each |d|
+        params = BorderParams(edge_magnitude=magnitude, edge_fraction=edge_fraction)
+        for frames, staged in edge_inputs:
+            seen.clear()
+            detect_crop_rect(frames, params)
+            expected = [real(gx, gy, gray, params) for gray, gx, gy in staged]
+            assert seen == expected
+            found += sum(map(len, expected))
+    assert found or magnitude > 1020

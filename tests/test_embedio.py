@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avbinder import embedio
 from avbinder.embedio import (
     EmbeddingMatrix,
     PairedDataset,
@@ -198,6 +199,15 @@ class TestTsvFormat:
         crlf = tmp_path / "crlf.tsv"
         crlf.write_bytes((tmp_path / "m.tsv").read_bytes().replace(b"\n", b"\r\n"))
         assert bitwise_equal(load_embeddings(crlf), m)
+
+    @pytest.mark.parametrize("rows_sized", [2, 4])
+    def test_rows_that_change_between_the_passes_are_truncation(self, tmp_path, monkeypatch, rows_sized):
+        # the byte pass sized the block for another row count than the second pass reads
+        save_embeddings(random_matrix(n=3, dim=2), tmp_path / "m.tsv")
+        real = embedio._tsv_shape
+        monkeypatch.setattr(embedio, "_tsv_shape", lambda fh: (rows_sized, real(fh)[1]))
+        with pytest.raises(TruncatedPayloadError, match=r"m\.tsv.*changed while it was read"):
+            load_embeddings(tmp_path / "m.tsv")
 
     def test_long_id_is_tsv_only(self, tmp_path):
         long_id = "\u00e9" * 35_000  # 70,000 UTF-8 bytes

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from helpers import sobel_naive
 
 from avbinder import kernels
 
@@ -9,6 +11,31 @@ def test_sobel_output_dtype_and_range():
     gx, gy = kernels.sobel_gradients(img)
     assert gx.dtype == np.int16 and gy.dtype == np.int16
     assert np.abs(gx).max() <= 1020 and np.abs(gy).max() <= 1020
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (9, 9), (3, 17), (17, 3), (31, 8)])
+def test_bool_mask_gives_int8_responses_of_its_0_1_image(shape):
+    rng = np.random.default_rng(6)
+    for density in (0.1, 0.5, 0.9):
+        mask = rng.random(shape) < density
+        gx, gy = kernels.sobel_gradients(mask)
+        assert gx.dtype == np.int8 and gy.dtype == np.int8
+        ex, ey = sobel_naive(mask.astype(np.uint8))
+        assert np.array_equal(gx, ex) and np.array_equal(gy, ey)
+
+
+@pytest.mark.parametrize("dtype, lo, hi", [(np.uint8, 0, 255), (np.int8, -128, 127)])
+def test_full_range_8_bit_input_gets_exact_int16_responses(dtype, lo, hi):
+    rng = np.random.default_rng(7)
+    img = rng.integers(lo, hi + 1, (16, 16)).astype(dtype)
+    img[:, :8] = lo
+    img[:8, :] = hi
+    img[4:12:2, 4:12:2] = lo  # extreme corners, so responses reach +-1020
+    gx, gy = kernels.sobel_gradients(img)
+    assert gx.dtype == np.int16 and gy.dtype == np.int16
+    ex, ey = sobel_naive(img)
+    assert np.array_equal(gx, ex) and np.array_equal(gy, ey)
+    assert max(np.abs(ex).max(), np.abs(ey).max()) == 1020
 
 
 def test_hist256_counts_every_pixel():

@@ -14,6 +14,7 @@ import pytest
 
 from avbinder import binder
 from avbinder.binder import BindModel, project_audio
+from avbinder.borders import detect_crop_rect
 from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
@@ -69,8 +70,24 @@ def test_tsv_is_written_and_read_line_by_line(tmp_path, library):
     assert peak <= MB, peak
     loaded, peak = traced_peak(load_embeddings, tmp_path / "lib.tsv")
     assert loaded.data.tobytes() == library.data.tobytes()
-    # the whole file, its decoded text and every line's fields took nine times the payload
-    assert peak <= 2.5 * library.data.nbytes, (peak, library.data.nbytes)
+    # the whole file, its decoded text and every line's fields took nine times
+    # the payload; one array per row, then their stack, took twice it
+    assert peak <= 1.5 * library.data.nbytes + MB, (peak, library.data.nbytes)
+
+
+def test_tsv_block_holds_only_rows_shaped_like_the_first(tmp_path):
+    # a 10,000-value first row, then 10,000 one-value rows: a block sized by
+    # the line count alone would take 400 MB before the second row fails
+    path = tmp_path / "ragged.tsv"
+    path.write_text("a" + "\t0" * 10_000 + "\n" + "b\t0\n" * 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedPayloadError, match=r"ragged\.tsv:2: expected 10000 values, found 1"):
+            load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MB, peak
 
 
 def test_save_checkpoint_holds_no_copy(tmp_path, model):
@@ -84,6 +101,22 @@ def test_write_image_holds_no_copy(tmp_path):
     _, peak = traced_peak(write_image, tmp_path / "frame.ppm", frame)
     # the raster's bytes, then header + raster, took twice the 5.9 MiB raster
     assert peak <= MB, peak
+
+
+def test_crop_detection_holds_one_gray_frame_at_a_time():
+    rng = np.random.default_rng(9)
+    frames = []
+    for _ in range(8):  # 540 x 960 RGB letterbox frames, 0.5 MB of gray each
+        frame = rng.integers(40, 256, (540, 960, 3), dtype=np.uint8)
+        frame[:60] = frame[-60:] = 0
+        frames.append(frame)
+    peaks = {}
+    for n in (2, 8):
+        rect, peaks[n] = traced_peak(detect_crop_rect, frames[:n])
+        assert (rect.top, rect.bottom) == (60, 480)
+    # a gray copy of every frame, made before the first was looked at, grew
+    # the peak by 0.5 MB a frame
+    assert peaks[8] <= peaks[2] + MB, peaks
 
 
 def _mvbe_with_2_40_rows(path):
