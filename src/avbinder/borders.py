@@ -3,10 +3,9 @@
 Frames flow through seven stages: (1) frames whose intensity-histogram
 spread is tiny are classified borderless and skipped; otherwise (2) the
 frame is binarized at the Otsu threshold of the same histogram (each frame
-is histogrammed once, for both stages), (3) Sobel gradients of the binary
-image are taken (the pipeline takes them of its 0/1 mask, with the edge
-threshold scaled to match), (4) rows/columns whose gradient response is
-strong across most of their length become border-line candidates annotated
+is histogrammed once, for both stages) into a bool mask, (3) the mask's
+int8 Sobel gradients are taken, (4) rows/columns whose gradient response is
+nonzero across most of their length become border-line candidates annotated
 with strip statistics from the original frame, (5) candidates whose outer
 strip is not near-black, has no near-black mirror across the frame center,
 or does not contrast with the interior are dropped, (6) surviving
@@ -28,7 +27,7 @@ Every stage takes its thresholds from one ``BorderParams``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ MIN_AREA_FRACTION = 0.25  # sanity floor for the cropped area
 @dataclass(frozen=True)
 class BorderParams:
     hist_std_threshold: float = 0.01  # below this, a frame counts as borderless
-    edge_magnitude: int = 128  # |gradient| at or above this marks an edge pixel
     edge_fraction: float = 0.6  # a line needs this fraction of edge pixels
     black_threshold: float = 16.0  # outer strips at or below this mean are "black"
     contrast_margin: float = 24.0  # required inner-minus-outer mean difference
@@ -197,20 +195,13 @@ def otsu_threshold(counts: np.ndarray) -> int:
 
 
 def binarize(img: np.ndarray, threshold: int) -> np.ndarray:
-    """pixel > threshold -> 255 else 0, as uint8.
-
-    The comparison's bool bytes are 0 or 1, so viewed as uint8 and scaled
-    by 255 in place they are the 0/255 image, with no second array.
-    """
-    img = _check_gray(img)
-    binary = np.greater(img, threshold).view(np.uint8)
-    binary *= np.uint8(255)
-    return binary
+    """The bool mask ``pixel > threshold``."""
+    return _check_gray(img) > threshold
 
 
 def sobel_edges(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed Sobel gradient maps (Gx, Gy), replicate-padded, same shape:
-    int8 for a bool mask, int16 for any other image (``sobel_gradients``)."""
+    int8 in [-4, 4] for a bool mask, int16 for any other image (``sobel_gradients``)."""
     img = _check_gray(img)
     if img.shape[0] < 3 or img.shape[1] < 3:
         raise ValueError(f"image too small for 3x3 Sobel: {img.shape}")
@@ -270,10 +261,10 @@ def extract_edge_candidates(
     img: np.ndarray,
     params: BorderParams = BorderParams(),
 ) -> list[EdgeCandidate]:
-    """Rows/columns of strong gradient response, with strip statistics.
+    """Rows/columns of mostly nonzero gradient response, with strip statistics.
 
     A row qualifies when at least ``params.edge_fraction`` of its pixels
-    have |Gy| >= ``params.edge_magnitude`` (columns use |Gx|); consecutive
+    are edge pixels, those with a nonzero Gy (columns use Gx); consecutive
     qualifying lines collapse into one candidate at the content-side
     boundary. Only the outer ``SEARCH_FRACTION`` of each dimension is
     searched. The strip means come from the original image (see the module
@@ -286,8 +277,8 @@ def extract_edge_candidates(
     # an edge count over the line length is the float64 mean of the edge
     # flags, bit for bit; the count's type is the narrowest that holds it
     height, width = img.shape
-    row_frac = (np.abs(gy) >= params.edge_magnitude).sum(axis=1, dtype=np.min_scalar_type(width)) / width
-    col_frac = (np.abs(gx) >= params.edge_magnitude).sum(axis=0, dtype=np.min_scalar_type(height)) / height
+    row_frac = (gy != 0).sum(axis=1, dtype=np.min_scalar_type(width)) / width
+    col_frac = (gx != 0).sum(axis=0, dtype=np.min_scalar_type(height)) / height
     cands = _axis_candidates(row_frac, img, ("top", "bottom"), params.edge_fraction)
     cands += _axis_candidates(col_frac, img.T, ("left", "right"), params.edge_fraction)
     return cands
@@ -381,10 +372,6 @@ def detect_crop_rect(
     if any(f.shape[:2] != (height, width) for f in frames):
         raise ValueError("frames must share dimensions")
 
-    # The Otsu image is 0/255, so its Sobel response is 255 times that of
-    # its 0/1 mask, an integer d in [-4, 4]: |G| >= m exactly when
-    # |d| >= ceil(m / 255). The mask's int8 Sobel then gives the same edges.
-    mask_params = replace(params, edge_magnitude=-(-params.edge_magnitude // 255))
     per_frame: list[list[EdgeCandidate]] = []
     if height >= 3 and width >= 3:
         for frame in frames:  # one gray copy at a time
@@ -393,9 +380,8 @@ def detect_crop_rect(
             if histogram_std(counts) < params.hist_std_threshold:
                 per_frame.append([])  # borderless frame, contributes nothing
                 continue
-            mask = binarize(gray, otsu_threshold(counts)) > 0
-            gx, gy = sobel_edges(mask)
-            cands = extract_edge_candidates(gx, gy, gray, mask_params)
+            gx, gy = sobel_edges(binarize(gray, otsu_threshold(counts)))
+            cands = extract_edge_candidates(gx, gy, gray, params)
             per_frame.append(fold_filter(cands, params))
 
     depth = dict.fromkeys(SIDES, 0) | nms_unify(per_frame, params)

@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("frames", nargs="+", help="ordered PGM/PPM frame files")
     p.add_argument("--out", help="directory for cropped frames")
     p.add_argument("--hist-std-threshold", type=_finite_float, default=borders.BorderParams.hist_std_threshold)
-    p.add_argument("--edge-magnitude", type=_non_negative_int, default=borders.BorderParams.edge_magnitude)
     p.add_argument("--edge-fraction", type=_number(float, 0.0, 1.0), default=borders.BorderParams.edge_fraction)
     p.add_argument("--black-threshold", type=_finite_float, default=borders.BorderParams.black_threshold)
     p.add_argument("--contrast-margin", type=_finite_float, default=borders.BorderParams.contrast_margin)
@@ -210,8 +209,20 @@ def _check_held_out_flags(args) -> None:
         )
 
 
+def _check_output_files(*paths) -> None:
+    """Exit 2 before any work if an output file's parent is not a directory
+    or the path is one, rather than after the work."""
+    for path in filter(None, paths):
+        target = Path(path).resolve()  # as write_atomic resolves it
+        if target.is_dir():
+            raise OSError(f"{path}: is a directory, not an output file")
+        if not target.parent.is_dir():
+            raise OSError(f"{path}: {target.parent} is not a directory")
+
+
 def _cmd_train(args) -> int:
     _check_held_out_flags(args)
+    _check_output_files(args.out, args.history, args.val_video_out, args.val_audio_out)
     video = load_embeddings(args.video)
     audio = load_embeddings(args.audio)
     dataset = pair_by_id(video, audio)
@@ -316,6 +327,9 @@ def _cmd_crop(args) -> int:
         if clash:
             raise _UsageError(f"avbinder crop: {', '.join(clash)} share a file name; --out would keep one of them")
     frames = [pnm.read_image(f) for f in args.frames]
+    if args.out:  # made before detection, so a path that cannot be one prints nothing
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     # each tuning flag's dest is the BorderParams field it sets
     params = borders.BorderParams(**{f.name: getattr(args, f.name) for f in fields(borders.BorderParams)})
     rect = borders.detect_crop_rect(frames, params)
@@ -324,8 +338,6 @@ def _cmd_crop(args) -> int:
     print(f"right\t{rect.right}")
     print(f"bottom\t{rect.bottom}")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for path, frame in zip(args.frames, frames):
             pnm.write_image(out_dir / Path(path).name, borders.apply_crop(frame, rect))
         print(f"wrote {len(frames)} cropped frames to {out_dir}", file=sys.stderr)

@@ -110,6 +110,23 @@ def projected_pairs(model, val):
     )
 
 
+def pls_projected_pairs(train, val, components: int = 32):
+    """``val`` through the closed-form reference binder, partial least
+    squares: each side is centred by its train mean and projected onto the
+    top ``components`` singular vectors of the centred train
+    cross-covariance (left for video, right for audio). These are the
+    projected pairs that ``recall_at_k`` scores."""
+    from avbinder.embedio import EmbeddingMatrix, PairedDataset
+
+    xv, xa = train.video.data.astype(np.float64), train.audio.data.astype(np.float64)
+    mv, ma = xv.mean(axis=0), xa.mean(axis=0)
+    u, _, vt = np.linalg.svd((xv - mv).T @ (xa - ma), full_matrices=False)
+    return PairedDataset(
+        video=EmbeddingMatrix(val.ids, (val.video.data - mv) @ u[:, :components]),
+        audio=EmbeddingMatrix(val.ids, (val.audio.data - ma) @ vt[:components].T),
+    )
+
+
 def write_integer_search_fixture(root, seed: int = 4, pairs: int = 40):
     """Checkpoint plus paired MVBE files whose projections are exact integers.
 

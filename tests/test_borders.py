@@ -92,9 +92,9 @@ class TestOtsu:
 
     def test_binarize_rule(self):
         img = np.array([[10, 20], [21, 255]], np.uint8)
-        assert np.array_equal(
-            binarize(img, 20), np.array([[0, 0], [255, 255]], np.uint8)
-        )
+        mask = binarize(img, 20)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, [[False, False], [True, True]])
 
 
 class TestSobel:
@@ -472,8 +472,8 @@ def _stage_hashes():
             cands = extract_edge_candidates(gx, gy, gray)
             update(hashes["histogram_std"], histogram_std(counts))
             update(hashes["otsu_threshold"], t)
-            update(hashes["binarize"], binary)
-            update(hashes["sobel_edges"], gx, gy)
+            update(hashes["binarize"], binary.view(np.uint8) * np.uint8(255))
+            update(hashes["sobel_edges"], *(g.astype(np.int16) * np.int16(255) for g in (gx, gy)))
             update(hashes["extract_edge_candidates"], len(cands), *(_hashed(c, gray.shape) for c in cands))
             kept = fold_filter(cands)
             update(hashes["fold_filter"], len(kept), *(_hashed(c, gray.shape) for c in kept))
@@ -519,10 +519,7 @@ def edge_inputs():
     return inputs
 
 
-@pytest.mark.parametrize("magnitude", [0, 1, 127, 128, 129, 255, 256, 510, 511, 765, 766, 1020, 1021])
-def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch, magnitude):
-    # the pipeline thresholds its mask's Sobel at ceil(m / 255); the public
-    # stages threshold the 0/255 image's at m
+def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch):
     seen = []
     real = borders.extract_edge_candidates
 
@@ -533,11 +530,11 @@ def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch, m
     monkeypatch.setattr(borders, "extract_edge_candidates", spy)
     found = 0
     for edge_fraction in (0.6, 0.3, 0.05):  # the low ones let the random-bits frame pass each |d|
-        params = BorderParams(edge_magnitude=magnitude, edge_fraction=edge_fraction)
+        params = BorderParams(edge_fraction=edge_fraction)
         for frames, staged in edge_inputs:
             seen.clear()
             detect_crop_rect(frames, params)
             expected = [real(gx, gy, gray, params) for gray, gx, gy in staged]
             assert seen == expected
             found += sum(map(len, expected))
-    assert found or magnitude > 1020
+    assert found

@@ -92,7 +92,6 @@ class TestUsage:
             ("gen-synthetic", "--noise", "nan"),
             ("crop", "--edge-fraction", "nan"),
             ("crop", "--edge-fraction", "1.5"),
-            ("crop", "--edge-magnitude", "-5"),
             ("crop", "--nms-radius", "-1"),
             ("crop", "--hist-std-threshold", "nan"),
             ("crop", "--black-threshold", "inf"),
@@ -151,6 +150,33 @@ class TestUsage:
         assert code == 1
         assert out == "" and all(flag in err for flag in named), err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--history", "--val-video-out", "--val-audio-out"])
+    @pytest.mark.parametrize("bad", ["dir", "nodir/x", "file/x"])
+    def test_train_checks_output_paths_before_any_work(self, workspace, tmp_path, capsys, flag, bad):
+        # --history under a missing directory once trained, wrote the
+        # checkpoint and only then exited 2; --out naming a directory
+        # failed only after the whole run
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        outputs = {f: str(tmp_path / f"{f[2:]}.out") for f in ("--out", "--history", "--val-video-out", "--val-audio-out")}
+        outputs[flag] = str(tmp_path / bad)
+        code, out, err = run(
+            [
+                "train",
+                "--video", str(workspace["video"]),
+                "--audio", str(workspace["audio"]),
+                "--n-val", "20",
+                "--batch", "16",
+                "--epochs", "1",
+                *(part for pair in outputs.items() for part in pair),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and outputs[flag] in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_module_entry_point(self):
         out = subprocess.run(
@@ -584,6 +610,17 @@ class TestCrop:
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["f.pgm", "g.pgm"]
         for name, frame in zip(("f.pgm", "g.pgm"), frames):
             assert np.array_equal(pnm.read_image(tmp_path / "o" / name), frame[5:139, :])
+
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory_prints_nothing(self, tmp_path, capsys, out_dir):
+        # the rectangle was once printed before --out failed with exit 2
+        p = tmp_path / "f.pgm"
+        pnm.write_image(p, make_clip((5, 5, 0, 0), n_frames=1)[0])
+        (tmp_path / "file").write_bytes(b"")
+        code, out, err = run(["crop", str(p), "--out", str(tmp_path / out_dir)], capsys)
+        assert code == 2 and out == ""
+        assert str(tmp_path / "file") in err and "Traceback" not in err
+        assert (tmp_path / "file").read_bytes() == b""
 
     def test_corrupt_frame_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "f.pgm"
