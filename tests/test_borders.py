@@ -500,7 +500,7 @@ def test_stage_outputs_match_golden_hashes():
 
 @pytest.fixture(scope="module")
 def edge_inputs():
-    """(frames, [(gray, Gx, Gy) of every ungated frame]) for each
+    """(frames, [(gray, mask, Gx, Gy) of every ungated frame]) for each
     ``_golden_clips()`` clip and for a two-level frame of random bits,
     whose Otsu mask has Sobel responses of every |d| from 0 to 4."""
     bits = np.random.default_rng(12).random((40, 48)) < 0.5
@@ -512,14 +512,21 @@ def edge_inputs():
             gray = rgb_to_gray(frame)
             counts = hist256(gray)
             if histogram_std(counts) >= BorderParams.hist_std_threshold:
-                staged.append((gray, *sobel_edges(binarize(gray, otsu_threshold(counts)))))
+                mask = binarize(gray, otsu_threshold(counts))
+                staged.append((gray, mask, *sobel_edges(mask)))
         inputs.append((frames, staged))
     mx, my = sobel_naive(bits.astype(np.uint8))
     assert set(np.abs(mx).ravel()) == set(np.abs(my).ravel()) == {0, 1, 2, 3, 4}
     return inputs
 
 
-def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch):
+@pytest.mark.parametrize("magnitude", [0, 1, 127, 128, 129, 255, 256, 510, 511, 765, 766, 1020, 1021])
+def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch, magnitude):
+    # The pipeline's candidates are the public stages' on the Otsu mask, and
+    # on its 0/255 image too. The removed edge magnitude m marked |G| >= m on
+    # that image's int16 responses, 255 times the mask's d: the same edges as
+    # d != 0 for every m from 1 to 255 (the old default 128 among them) and
+    # for no other m.
     seen = []
     real = borders.extract_edge_candidates
 
@@ -529,12 +536,20 @@ def test_pipeline_candidates_match_the_public_stages(edge_inputs, monkeypatch):
 
     monkeypatch.setattr(borders, "extract_edge_candidates", spy)
     found = 0
+    same_as_magnitude = True
     for edge_fraction in (0.6, 0.3, 0.05):  # the low ones let the random-bits frame pass each |d|
         params = BorderParams(edge_fraction=edge_fraction)
         for frames, staged in edge_inputs:
             seen.clear()
             detect_crop_rect(frames, params)
-            expected = [real(gx, gy, gray, params) for gray, gx, gy in staged]
+            expected = [real(gx, gy, gray, params) for gray, _, gx, gy in staged]
             assert seen == expected
             found += sum(map(len, expected))
+            binary = [(gray, sobel_edges(mask.view(np.uint8) * np.uint8(255))) for gray, mask, _, _ in staged]
+            assert all(g.dtype == np.int16 for _, gs in binary for g in gs)
+            assert [real(gx, gy, gray, params) for gray, (gx, gy) in binary] == expected
+            old = [real(np.abs(gx) >= magnitude, np.abs(gy) >= magnitude, gray, params)
+                   for gray, (gx, gy) in binary]
+            same_as_magnitude &= old == expected
     assert found
+    assert same_as_magnitude == (1 <= magnitude <= 255)
