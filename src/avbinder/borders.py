@@ -27,6 +27,7 @@ Every stage takes its thresholds from one ``BorderParams``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,34 +356,31 @@ def nms_unify(
 
 
 def detect_crop_rect(
-    frames: list[np.ndarray], params: BorderParams = BorderParams()
+    frames: Iterable[np.ndarray], params: BorderParams = BorderParams()
 ) -> CropRect:
     """Run the full pipeline over a clip's frames and return the crop.
 
-    Every frame's dtype and shape is checked first; then each is converted
-    to gray and examined in turn, so only one gray copy is alive at a time.
-    Sides with no surviving unified depth stay at the frame boundary; a crop
-    that would retain less than ``MIN_AREA_FRACTION`` of the frame (or is
-    inconsistent) falls back to the full frame.
+    ``frames`` is any iterable, such as a generator that reads each frame
+    from its file. Each frame's dtype and shape are checked as it arrives;
+    then it is converted to gray and reduced to its candidate list before
+    the next one is taken, so the memory the call holds does not grow with
+    the number of frames. Sides with no surviving unified depth stay at the frame boundary;
+    a crop that would retain less than ``MIN_AREA_FRACTION`` of the frame
+    (or is inconsistent) falls back to the full frame.
     """
-    if not frames:
-        raise ValueError("empty frame list")
-    frames = [_check_frame(f) for f in frames]  # every frame, before any work
-    height, width = frames[0].shape[:2]
-    if any(f.shape[:2] != (height, width) for f in frames):
-        raise ValueError("frames must share dimensions")
-
+    shape = None
     per_frame: list[list[EdgeCandidate]] = []
-    if height >= 3 and width >= 3:
-        for frame in frames:  # one gray copy at a time
-            gray = rgb_to_gray(frame)
-            counts = hist256(gray)  # shared by the gate and Otsu
-            if histogram_std(counts) < params.hist_std_threshold:
-                per_frame.append([])  # borderless frame, contributes nothing
-                continue
-            gx, gy = sobel_edges(binarize(gray, otsu_threshold(counts)))
-            cands = extract_edge_candidates(gx, gy, gray, params)
-            per_frame.append(fold_filter(cands, params))
+    for frame in frames:
+        frame = _check_frame(frame)
+        if shape is None:
+            shape = frame.shape[:2]
+        elif frame.shape[:2] != shape:
+            raise ValueError("frames must share dimensions")
+        if min(shape) >= 3:
+            per_frame.append(_frame_candidates(frame, params))
+    if shape is None:
+        raise ValueError("empty frame list")
+    height, width = shape
 
     depth = dict.fromkeys(SIDES, 0) | nms_unify(per_frame, params)
     left, top = depth["left"], depth["top"]
@@ -394,6 +392,17 @@ def detect_crop_rect(
     if (right - left) * (bottom - top) < MIN_AREA_FRACTION * width * height:
         return full
     return CropRect(left=left, top=top, right=right, bottom=bottom)
+
+
+def _frame_candidates(frame: np.ndarray, params: BorderParams) -> list[EdgeCandidate]:
+    """Stages 1-5 on one checked frame: its fold-filtered candidates, or
+    none when the histogram gate finds it borderless."""
+    gray = rgb_to_gray(frame)
+    counts = hist256(gray)  # shared by the gate and Otsu
+    if histogram_std(counts) < params.hist_std_threshold:
+        return []
+    gx, gy = sobel_edges(binarize(gray, otsu_threshold(counts)))
+    return fold_filter(extract_edge_candidates(gx, gy, gray, params), params)
 
 
 def apply_crop(img: np.ndarray, rect: CropRect) -> np.ndarray:

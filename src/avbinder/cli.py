@@ -326,21 +326,32 @@ def _cmd_crop(args) -> int:
         clash = [path for path in args.frames if names[Path(path).name] > 1]
         if clash:
             raise _UsageError(f"avbinder crop: {', '.join(clash)} share a file name; --out would keep one of them")
-    frames = [pnm.read_image(f) for f in args.frames]
-    if args.out:  # made before detection, so a path that cannot be one prints nothing
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
     # each tuning flag's dest is the BorderParams field it sets
     params = borders.BorderParams(**{f.name: getattr(args, f.name) for f in fields(borders.BorderParams)})
-    rect = borders.detect_crop_rect(frames, params)
+    shapes = []  # each frame's shape as pass 1 read it, for pass 2 to check
+
+    def read_frames():
+        for path in args.frames:
+            frame = pnm.read_image(path)
+            shapes.append(frame.shape)
+            yield frame
+
+    # pass 1 reads the frames one at a time, as detection takes them
+    rect = borders.detect_crop_rect(read_frames(), params)
+    if args.out:  # made before the rectangle is printed, so a path that cannot be one prints nothing
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     print(f"left\t{rect.left}")
     print(f"top\t{rect.top}")
     print(f"right\t{rect.right}")
     print(f"bottom\t{rect.bottom}")
-    if args.out:
-        for path, frame in zip(args.frames, frames):
+    if args.out:  # pass 2 reads each frame again to crop it
+        for path, shape in zip(args.frames, shapes):
+            frame = pnm.read_image(path)
+            if frame.shape != shape:
+                raise DataFormatError(f"{path}: shape changed from {shape} to {frame.shape} between the passes")
             pnm.write_image(out_dir / Path(path).name, borders.apply_crop(frame, rect))
-        print(f"wrote {len(frames)} cropped frames to {out_dir}", file=sys.stderr)
+        print(f"wrote {len(args.frames)} cropped frames to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 

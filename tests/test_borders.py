@@ -59,7 +59,7 @@ class TestHistogramStd:
         assert histogram_std(hist256(img)) == pytest.approx(np.sqrt(var), rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="256 counts"):
             histogram_std(hist256(np.zeros((0, 4), np.uint8)))
         with pytest.raises(ValueError):
             histogram_std(np.ones(255, np.int64))
@@ -291,6 +291,22 @@ class TestDetect:
             detect_crop_rect([])
         with pytest.raises(ValueError, match="share dimensions"):
             detect_crop_rect([np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8)])
+
+    def test_frames_may_come_from_a_generator(self):
+        frames = make_clip((20, 20, 20, 20), n_frames=3)
+        taken = []
+
+        def one_at_a_time(frames):
+            for frame in frames:
+                taken.append(frame.shape)
+                yield frame
+
+        assert detect_crop_rect(one_at_a_time(frames)) == detect_crop_rect(frames)
+        assert len(taken) == 3
+        with pytest.raises(ValueError, match="empty frame list"):
+            detect_crop_rect(one_at_a_time([]))
+        with pytest.raises(ValueError, match="share dimensions"):
+            detect_crop_rect(one_at_a_time([np.zeros((4, 4), np.uint8), np.zeros((4, 5), np.uint8)]))
 
     def test_one_histogram_per_frame(self, monkeypatch):
         calls = []

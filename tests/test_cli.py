@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_clip
 
-from avbinder import pnm
+from avbinder import borders, pnm
 from avbinder.binder import BindModel
 from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -621,6 +621,25 @@ class TestCrop:
         assert code == 2 and out == ""
         assert str(tmp_path / "file") in err and "Traceback" not in err
         assert (tmp_path / "file").read_bytes() == b""
+
+    def test_frame_that_changes_shape_between_the_passes_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # crop reads every frame twice: once to detect, once to crop and write
+        paths = []
+        for i, frame in enumerate(make_clip((5, 5, 0, 0), n_frames=3)):
+            paths.append(str(tmp_path / f"frame{i}.pgm"))
+            pnm.write_image(paths[-1], frame)
+        real = borders.detect_crop_rect
+
+        def detect_then_rewrite(frames, params):
+            rect = real(frames, params)
+            pnm.write_image(paths[1], np.zeros((144, 190), np.uint8))
+            return rect
+
+        monkeypatch.setattr(borders, "detect_crop_rect", detect_then_rewrite)
+        code, _, err = run(["crop", *paths, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert paths[1] in err and "between the passes" in err and "Traceback" not in err
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["frame0.pgm"]
 
     def test_corrupt_frame_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "f.pgm"

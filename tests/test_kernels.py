@@ -44,3 +44,43 @@ def test_hist256_counts_every_pixel():
     counts = kernels.hist256(img)
     assert counts.sum() == img.size
     assert counts[77] == int((img == 77).sum())
+
+
+def _hist_cases():
+    rng = np.random.default_rng(4)
+    noise = rng.integers(0, 256, (37, 52), dtype=np.uint8)
+    every = np.arange(256, dtype=np.uint8).repeat(3).reshape(48, 16)
+    return {
+        "even": noise,  # 1924 pixels
+        "odd": noise[:, :51][:35],  # 1785 pixels
+        "one-pixel": np.array([[201]], np.uint8),
+        "every-other-column": noise[:, ::2],
+        "transposed": noise.T,
+        "every-value": every,
+        "all-255": np.full((9, 11), 255, np.uint8),
+        # more pairs than one bincount block, the last block partial, one byte left
+        "several-blocks": rng.integers(0, 256, (513, 513), dtype=np.uint8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hist_cases()))
+def test_hist256_equals_bincount(name):
+    img = _hist_cases()[name]
+    counts = kernels.hist256(img)
+    assert counts.dtype == np.int64 and counts.shape == (256,)
+    assert np.array_equal(counts, np.bincount(img.ravel(), minlength=256))
+
+
+def test_hist256_of_an_empty_image_is_256_zeros():
+    counts = kernels.hist256(np.zeros((0, 4), np.uint8))
+    assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros(256, np.int64))
+
+
+@pytest.mark.parametrize(
+    "img",
+    [np.full((4, 4), 300, np.int16), np.full((4, 4), 255.7), np.zeros((4, 4), np.bool_)],
+    ids=["int16", "float", "bool"],  # a cast would count 300 as 44 and 255.7 as 255
+)
+def test_hist256_rejects_any_dtype_but_uint8(img):
+    with pytest.raises(ValueError, match="uint8"):
+        kernels.hist256(img)

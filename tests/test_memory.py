@@ -1,5 +1,6 @@
 """Loading a file holds about its payload, writing one holds no copy of
-it, and the search path's transient memory does not grow with the library.
+it, the search path's transient memory does not grow with the library,
+and crop holds one frame at a time.
 
 numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call, less what was live before it, is what the call held at its
@@ -18,6 +19,7 @@ from avbinder.borders import detect_crop_rect
 from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
+from avbinder.kernels import hist256
 from avbinder.pnm import read_image, write_image
 from avbinder.projection import init_head
 from avbinder.retrieval import build_index, retrieve_topk
@@ -117,6 +119,30 @@ def test_crop_detection_holds_one_gray_frame_at_a_time():
     # a gray copy of every frame, made before the first was looked at, grew
     # the peak by 0.5 MB a frame
     assert peaks[8] <= peaks[2] + MB, peaks
+
+
+def test_hist256_holds_no_widened_copy_of_the_frame():
+    frame = np.random.default_rng(10).integers(0, 256, (1080, 1920), dtype=np.uint8)
+    counts, peak = traced_peak(hist256, frame)
+    assert counts.sum() == frame.size
+    # bincount of the whole frame widened it to a 15.8 MiB intp copy first
+    assert peak <= 2.5 * MB, peak
+
+
+def test_crop_out_holds_one_frame_at_a_time(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    paths = []
+    for i in range(16):  # 240 x 320 RGB letterbox frames, 225 KiB each
+        frame = rng.integers(40, 256, (240, 320, 3), dtype=np.uint8)
+        frame[:30] = frame[-30:] = 0
+        paths.append(tmp_path / f"frame{i:02d}.ppm")
+        write_image(paths[-1], frame)
+    peaks = {}
+    for n in (4, 16):
+        code, peaks[n] = traced_peak(run_cli, ["crop", *map(str, paths[:n]), "--out", str(tmp_path / f"out{n}")])
+        assert code == 0 and capsys.readouterr().out == "left\t0\ntop\t30\nright\t320\nbottom\t210\n"
+    # every frame was read before the first was looked at: 225 KiB more a frame
+    assert peaks[16] <= peaks[4] + MB, peaks
 
 
 def _mvbe_with_2_40_rows(path):
