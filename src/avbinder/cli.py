@@ -172,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    _check_output_files(args, "out_video", "out_audio")
     dataset = gen_synthetic(
         n_pairs=args.pairs,
         latent_dim=args.latent_dim,
@@ -209,10 +210,16 @@ def _check_held_out_flags(args) -> None:
         )
 
 
-def _check_output_files(*paths) -> None:
-    """Exit 2 before any work if an output file's parent is not a directory
-    or the path is one, rather than after the work."""
-    for path in filter(None, paths):
+def _check_output_files(args, *dests) -> None:
+    """Exit 2 before any work if an output file's path is empty, its parent
+    is not a directory or the path is one, rather than after the work. A
+    ``dest`` whose flag was not given (``None``) is skipped."""
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        if path == "":
+            raise OSError(f"--{dest.replace('_', '-')}: empty output path")
         target = Path(path).resolve()  # as write_atomic resolves it
         if target.is_dir():
             raise OSError(f"{path}: is a directory, not an output file")
@@ -222,7 +229,7 @@ def _check_output_files(*paths) -> None:
 
 def _cmd_train(args) -> int:
     _check_held_out_flags(args)
-    _check_output_files(args.out, args.history, args.val_video_out, args.val_audio_out)
+    _check_output_files(args, "out", "history", "val_video_out", "val_audio_out")
     video = load_embeddings(args.video)
     audio = load_embeddings(args.audio)
     dataset = pair_by_id(video, audio)
@@ -285,7 +292,7 @@ def _projected(model: BindModel, rows: EmbeddingMatrix, side: str, path) -> Embe
 
 
 def _cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are dropped at once
+    model = load_checkpoint(args.checkpoint, with_optimizer=False)[0]  # the Adam moments are checked, not kept
     # each file is projected as it is read, so only projected rows are paired
     video = _projected(model, load_embeddings(args.video), "video", args.video)
     audio = _projected(model, load_embeddings(args.audio), "audio", args.audio)
@@ -298,7 +305,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    model = load_checkpoint(args.checkpoint)[0]  # the Adam moments are dropped at once
+    model = load_checkpoint(args.checkpoint, with_optimizer=False)[0]  # the Adam moments are checked, not kept
     _, query_side, cand_side = _DIRECTIONS[args.direction]
     queries = load_embeddings(args.queries)
     if args.query_id is not None:  # only the asked row is projected
@@ -321,6 +328,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_crop(args) -> int:
+    if args.out == "":  # as _check_output_files rejects an empty file path
+        raise OSError("--out: empty output path")
     if args.out:  # each cropped frame is written under its input's file name
         names = Counter(Path(path).name for path in args.frames)
         clash = [path for path in args.frames if names[Path(path).name] > 1]

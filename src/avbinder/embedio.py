@@ -39,7 +39,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -94,6 +94,17 @@ class BinaryReader:
         out = np.empty(shape, dtype)
         self._check_read(self.fh.readinto(out), nbytes)
         return out
+
+    def pieces(self, count: int, buffer: np.ndarray) -> Iterator[np.ndarray]:
+        """The next ``count`` values of ``buffer``'s dtype, read through
+        ``buffer`` a piece at a time once the file is known to hold them all;
+        each piece is a view of ``buffer``, overwritten by the next."""
+        nbytes = count * buffer.itemsize
+        self._advance(nbytes)
+        for start in range(0, count, buffer.size):
+            piece = buffer[: min(buffer.size, count - start)]
+            self._check_read(self.fh.readinto(piece), piece.nbytes)
+            yield piece
 
     def finish(self) -> None:
         if self.offset != self.size:

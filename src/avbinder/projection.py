@@ -17,7 +17,7 @@ forward, backward and optimizer arithmetic runs in that dtype: the input
 batch and the upstream gradient are cast to it once, and every weight is
 used as stored. A training forward keeps the activations that backward
 needs, so backward recomputes nothing. Adam updates each parameter and its
-moments in place.
+moments in place, a cache-sized block at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ HEAD_HYPERPARAMS = ("bn_momentum", "bn_eps", "dropout_p")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per block of adam_step, chosen by timing one update of a
+# 1024->512->256 float32 head on a 2-core x86 host with 2 MiB of L2 per
+# core: 2^16 took 2.2 ms, 2^15 2.2-2.3, 2^14 2.6, 2^17 2.5, 2^12 5.3 and
+# whole arrays 2.8-3.1. Six float32 blocks (param, grad, both moments, two
+# scratch buffers) take 1.5 MiB, so a block's operands stay in L2 between
+# its passes.
+_ADAM_BLOCK = 2**16
 
 
 @dataclass
@@ -252,23 +259,38 @@ def adam_step(
     ``t`` is the 1-based step the update belongs to. The arithmetic runs in
     ``param``'s dtype: the moments are updated in place, and the step is
     formed in two scratch buffers before it is subtracted from ``param``.
+    The same elementwise sequence runs over flat blocks of ``_ADAM_BLOCK``
+    elements, so each block's operands stay in cache between its passes and
+    the scratch buffers hold one block, with every bit as over the whole
+    array. ``param``, ``m`` and ``v`` must share ``grad``'s shape and be
+    contiguous, so a flat view updates them.
     """
     g = np.asarray(grad, dtype=param.dtype)
-    step = np.multiply(g, 1.0 - ADAM_BETA1)
-    denom = np.multiply(g, 1.0 - ADAM_BETA2)
-    denom *= g
-    m *= ADAM_BETA1
-    m += step
-    v *= ADAM_BETA2
-    v += denom
-    # the buffers held the moment increments; now lr * m_hat and sqrt(v_hat) + eps, then the step
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    step *= lr
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    param -= step
+    if not param.shape == g.shape == m.shape == v.shape:
+        raise ValueError(f"Adam arrays differ in shape: {param.shape}, {g.shape}, {m.shape}, {v.shape}")
+    g = g.reshape(-1)
+    param, m, v = (a.reshape(-1, copy=False) for a in (param, m, v))
+    scratch = np.empty((2, min(g.size, _ADAM_BLOCK)), param.dtype)
+    m_scale, v_scale = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    for start in range(0, g.size, _ADAM_BLOCK):
+        block = slice(start, start + _ADAM_BLOCK)
+        gb, mb, vb = g[block], m[block], v[block]
+        step, denom = scratch[:, : gb.size]
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=denom)
+        denom *= gb
+        mb *= ADAM_BETA1
+        mb += step
+        vb *= ADAM_BETA2
+        vb += denom
+        # the buffers held the moment increments; now lr * m_hat and sqrt(v_hat) + eps, then the step
+        np.divide(mb, m_scale, out=step)
+        step *= lr
+        np.divide(vb, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        param[block] -= step
 
 
 def apply_update(

@@ -31,6 +31,8 @@ bytes. The loader reads the open file through ``embedio.BinaryReader``:
 every block is checked against the file's size before it is allocated and
 then read straight into its array, so a load holds no copy of the file, and
 any malformed or invalid content is a ``DataFormatError`` naming the file.
+``eval`` and ``retrieve`` load without the Adam moments, which are read and
+checked through one small buffer and then dropped.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -274,8 +277,24 @@ def _block_shape(name: str, d_in: int, d_hid: int, d_out: int) -> tuple[int, ...
     return {"w1": (d_in, d_hid), "w2": (d_hid, d_out), "b2": (d_out,)}.get(name, (d_hid,))
 
 
-def load_checkpoint(path) -> tuple[BindModel, TrainState]:
-    """Inverse of :func:`save_checkpoint`, bit-exact."""
+def _moment_extremes(reader: BinaryReader, buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The minimum and maximum of each ``buffer``-sized piece of the next
+    moment block, which is read and dropped. NaN and infinities reach the
+    extremes, and so does any negative value, so these few values fail
+    ``AdamState``'s checks exactly when the block would."""
+    ends = [(piece.min(), piece.max()) for piece in reader.pieces(math.prod(shape), buffer)]
+    return np.array(ends, dtype=buffer.dtype).reshape(-1)
+
+
+def load_checkpoint(path, *, with_optimizer: bool = True) -> tuple[BindModel, TrainState | None]:
+    """Inverse of :func:`save_checkpoint`, bit-exact.
+
+    ``with_optimizer=False`` is the package's eval-only load, used by
+    ``eval`` and ``retrieve``: the Adam moment blocks stream through one
+    256 KiB buffer and are validated with the same checks, in the same
+    order and with the same errors as a full load, but not kept, so the
+    load holds about the heads' bytes. It returns ``(model, None)``.
+    """
     source = Path(path).name
     with open(path, "rb") as fh:
         reader = BinaryReader(fh, source)
@@ -285,10 +304,14 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
             {name: reader.array(_block_shape(name, d_in, d_hid, d_out)) for name in HEAD_BLOCKS}
             for d_in in (d_in_v, d_in_a)
         ]
+        if with_optimizer:
+            read_moment = reader.array
+        else:  # every moment block streams through one 256 KiB buffer
+            read_moment = partial(_moment_extremes, reader, np.empty(2**16, "<f4"))
         # first moments for both heads, then second moments, each block shaped
         # as the parameter it belongs to
         m, v = [
-            [{name: reader.array(head[name].shape) for name in PARAM_FIELDS} for head in heads]
+            [{name: read_moment(head[name].shape) for name in PARAM_FIELDS} for head in heads]
             for _ in ("m", "v")
         ]
         step, seed, meta_len = reader.unpack(CHECKPOINT_TRAILER)
@@ -321,4 +344,4 @@ def load_checkpoint(path) -> tuple[BindModel, TrainState]:
             seed=seed,
             config=meta.get("config", {}),
         )
-    return model, state
+    return model, state if with_optimizer else None

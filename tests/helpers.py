@@ -110,6 +110,22 @@ def projected_pairs(model, val):
     )
 
 
+def load_outcome(path, **kwargs):
+    """``load_checkpoint(path, **kwargs)`` as a comparable value: the
+    exception class and message of a failed load, or every head block's
+    bytes and the temperature of a good one."""
+    from avbinder.errors import DataFormatError
+    from avbinder.projection import HEAD_BLOCKS
+    from avbinder.training import load_checkpoint
+
+    try:
+        model, _ = load_checkpoint(path, **kwargs)
+    except DataFormatError as exc:
+        return type(exc), str(exc)
+    blocks = [getattr(h, n) for h in (model.video_head, model.audio_head) for n in HEAD_BLOCKS]
+    return b"".join(block.tobytes() for block in blocks) + np.float32(model.temperature).tobytes()
+
+
 def pls_projected_pairs(train, val, components: int = 32):
     """``val`` through the closed-form reference binder, partial least
     squares: each side is centred by its train mean and projected onto the

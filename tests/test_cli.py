@@ -11,9 +11,11 @@ from helpers import make_clip
 from avbinder import borders, pnm
 from avbinder.binder import BindModel
 from avbinder.cli import run_cli
-from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
+from avbinder.embedio import EmbeddingMatrix, load_embeddings, pair_by_id, save_embeddings
+from avbinder.errors import DataFormatError
 from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS, init_head
-from avbinder.training import TrainState, load_checkpoint, save_checkpoint
+from avbinder.seeding import derive_seed
+from avbinder.training import TrainConfig, TrainState, load_checkpoint, save_checkpoint, train
 
 
 def run(argv, capsys):
@@ -177,6 +179,46 @@ class TestUsage:
         assert out == "" and outputs[flag] in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out-video", "--out-audio"])
+    @pytest.mark.parametrize("bad", ["", "dir", "nodir/x", "file/x"], ids=["empty", "dir", "nodir", "under-file"])
+    def test_gen_synthetic_checks_both_output_paths_first(self, tmp_path, capsys, flag, bad):
+        # an --out-audio that could not be written once exited 2 after
+        # --out-video had been written
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        outputs = {"--out-video": str(tmp_path / "v.mvbe"), "--out-audio": str(tmp_path / "a.mvbe")}
+        outputs[flag] = str(tmp_path / bad) if bad else ""
+        code, out, err = run(
+            ["gen-synthetic", "--pairs", "8", "--dim", "4", *(part for pair in outputs.items() for part in pair)],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and (outputs[flag] or flag) in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--history", "--val-video-out", "--val-audio-out"])
+    def test_train_rejects_an_empty_output_path_before_any_work(self, workspace, tmp_path, capsys, flag):
+        # --out "" once trained a whole run and then exited 2, and
+        # --history "" exited 0 and wrote no history
+        flags = ("--out", "--history", "--val-video-out", "--val-audio-out")
+        outputs = {f: "" if f == flag else str(tmp_path / f"{f[2:]}.out") for f in flags}
+        code, out, err = run(
+            [
+                "train",
+                "--video", str(workspace["video"]),
+                "--audio", str(workspace["audio"]),
+                "--n-val", "20",
+                "--batch", "16",
+                "--epochs", "1",
+                *(part for pair in outputs.items() for part in pair),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and f"{flag}: empty output path" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_entry_point(self):
         out = subprocess.run(
@@ -421,6 +463,61 @@ class TestChain:
         assert code == 2
         assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
 
+    def test_retrieve_rejects_invalid_adam_moment(self, workspace, tmp_path, capsys):
+        # the damage of the eval case above
+        ckpt = damaged_w1_moment(workspace["ckpt"], tmp_path / "bad_moment.mvbm", "v", 0, 0,
+                                 struct.pack("<2f", -1.0, float("nan")))
+        code, out, err = run(
+            [
+                "retrieve",
+                "--checkpoint", str(ckpt),
+                "--queries", str(workspace["val_v"]),
+                "--candidates", str(workspace["val_a"]),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and "bad_moment.mvbm" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve"])
+    @pytest.mark.parametrize(
+        "kind, head, value",
+        [("m", 1, float("inf")), ("v", 0, -1.0), ("v", 1, float("nan"))],
+        ids=["audio-m-inf", "video-v-minus1", "audio-v-nan"],
+    )
+    def test_moment_damage_reads_as_in_the_full_load(self, workspace, tmp_path, capsys, command, kind, head, value):
+        # eval and retrieve check the moments without keeping them; their
+        # stderr is the full load's error. The last value of the w1 block:
+        w1_bytes = load_checkpoint(workspace["ckpt"])[0].video_head.w1.nbytes
+        ckpt = damaged_w1_moment(workspace["ckpt"], tmp_path / "bad_moment.mvbm", kind, head, w1_bytes - 4,
+                                 struct.pack("<f", value))
+        with pytest.raises(DataFormatError) as full:
+            load_checkpoint(ckpt)
+        files = ("--video", "--audio") if command == "eval" else ("--queries", "--candidates")
+        code, out, err = run(
+            [command, "--checkpoint", str(ckpt), files[0], str(workspace["val_v"]), files[1], str(workspace["val_a"])],
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and err == f"avbinder: {full.value}\n"
+
+
+def damaged_w1_moment(source, target, kind, head, at, raw):
+    """``target``, a copy of checkpoint ``source`` with ``raw`` written ``at``
+    bytes into the ``kind`` ("m" or "v") moment block of w1 of head ``head``
+    (0 video, 1 audio). Both heads' parameters come first, then both heads'
+    first moments, then their second moments, each head's in PARAM_FIELDS
+    order."""
+    model, _ = load_checkpoint(source)
+    heads = (model.video_head, model.audio_head)
+    offset = 28 + sum(getattr(h, name).nbytes for h in heads for name in HEAD_BLOCKS)
+    offset += sum(getattr(h, name).nbytes for h in heads for name in PARAM_FIELDS) * (kind == "v")
+    offset += sum(getattr(h, name).nbytes for h in heads[:head] for name in PARAM_FIELDS)
+    blob = bytearray(source.read_bytes())
+    blob[offset + at : offset + at + len(raw)] = raw
+    target.write_bytes(bytes(blob))
+    return target
+
 
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -561,6 +658,37 @@ class TestReproducibility:
         assert blobs[0] == blobs[1]
 
 
+class TestNoShuffle:
+    def test_runs_repeat_and_match_the_unshuffled_api(self, workspace, tmp_path, capsys):
+        def train_cli(name, *extra):
+            argv = [
+                "train",
+                "--video", str(workspace["video"]),
+                "--audio", str(workspace["audio"]),
+                "--out", str(tmp_path / f"{name}.mvbm"),
+                "--history", str(tmp_path / f"{name}.tsv"),
+                "--batch", "16", "--epochs", "2", "--seed", "6",
+                *extra,
+            ]
+            assert run_cli(argv) == 0
+            return (tmp_path / f"{name}.mvbm").read_bytes(), (tmp_path / f"{name}.tsv").read_text()
+
+        first, second = train_cli("a", "--no-shuffle"), train_cli("b", "--no-shuffle")
+        assert first == second
+        assert train_cli("shuffled")[1] != first[1]
+        capsys.readouterr()
+
+        dataset = pair_by_id(load_embeddings(workspace["video"]), load_embeddings(workspace["audio"]))
+        model = BindModel(
+            video_head=init_head(derive_seed(6, "video-head"), d_in=dataset.video.dim),
+            audio_head=init_head(derive_seed(6, "audio-head"), d_in=dataset.audio.dim),
+        )
+        losses = train(model, dataset, TrainConfig(batch_size=16, epochs=2, seed=6, shuffle=False))
+        # each history line holds the shortest decimal that round-trips its loss
+        history = [line.split("\t") for line in first[1].splitlines()]
+        assert [(int(step), float(loss)) for step, loss in history] == list(enumerate(losses, start=1))
+
+
 class TestCrop:
     def test_crop_reports_rect_and_writes_frames(self, tmp_path, capsys):
         frames = make_clip((5, 5, 0, 0), n_frames=4)
@@ -621,6 +749,15 @@ class TestCrop:
         assert code == 2 and out == ""
         assert str(tmp_path / "file") in err and "Traceback" not in err
         assert (tmp_path / "file").read_bytes() == b""
+
+    def test_empty_out_is_data_error(self, tmp_path, capsys):
+        # --out "" once printed the rectangle, wrote nothing and exited 0
+        p = tmp_path / "f.pgm"
+        pnm.write_image(p, make_clip((5, 5, 0, 0), n_frames=1)[0])
+        code, out, err = run(["crop", str(p), "--out", ""], capsys)
+        assert code == 2 and out == ""
+        assert "--out: empty output path" in err and "Traceback" not in err
+        assert [q.name for q in tmp_path.iterdir()] == ["f.pgm"]
 
     def test_frame_that_changes_shape_between_the_passes_is_data_error(self, tmp_path, capsys, monkeypatch):
         # crop reads every frame twice: once to detect, once to crop and write

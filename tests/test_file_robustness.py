@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import load_outcome
+
 from avbinder.binder import BindModel
 from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
@@ -124,6 +126,26 @@ class TestReadersFuzz:
         for k in range(len(blob)):
             with pytest.raises(TruncatedPayloadError):
                 load_bytes(kind, blob[:k], scratch)
+
+
+class TestEvalOnlyCheckpointLoad:
+    """``eval`` and ``retrieve`` load checkpoints without the Adam moments,
+    and must accept and reject exactly what the full load does, with the
+    same error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_damaged_file_fails_as_in_the_full_load(self, valid_blobs, scratch, data):
+        path = scratch / "eval_only.mvbm"
+        path.write_bytes(data.draw(mutations(valid_blobs["mvbm"])))
+        assert load_outcome(path, with_optimizer=False) == load_outcome(path)
+
+    def test_every_proper_prefix_fails_as_in_the_full_load(self, valid_blobs, scratch):
+        path = scratch / "eval_only.mvbm"
+        blob = valid_blobs["mvbm"]
+        for k in range(len(blob)):
+            path.write_bytes(blob[:k])
+            assert load_outcome(path, with_optimizer=False) == load_outcome(path)
 
 
 def write_history(path, work: Path) -> int:

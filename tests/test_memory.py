@@ -9,6 +9,7 @@ worst: its result plus every temporary.
 
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
 from avbinder.kernels import hist256
 from avbinder.pnm import read_image, write_image
-from avbinder.projection import init_head
+from avbinder.projection import HEAD_BLOCKS, adam_step, init_head
 from avbinder.retrieval import build_index, retrieve_topk
 from avbinder.training import TrainState, load_checkpoint, save_checkpoint
 
@@ -192,6 +193,25 @@ def test_load_checkpoint_peaks_near_the_file_size(tmp_path, model):
     assert loaded.video_head.d_in == 1024
     # the file's bytes and a copy of every block together were twice this
     assert peak <= size * 1.1 + MB, (peak, size)
+
+
+def test_eval_only_load_peaks_near_the_heads(tmp_path, model):
+    save_checkpoint(model, TrainState.for_model(model), tmp_path / "model.mvbm")
+    (loaded, state), peak = traced_peak(partial(load_checkpoint, with_optimizer=False), tmp_path / "model.mvbm")
+    heads = sum(getattr(h, name).nbytes for h in (loaded.video_head, loaded.audio_head) for name in HEAD_BLOCKS)
+    assert state is None
+    # the moments, two thirds of the file, were read and kept as in the full
+    # load; now the 256 KiB buffer and the heads' finiteness masks remain
+    assert peak <= heads + MB, (peak, heads)
+
+
+def test_adam_step_holds_two_blocks_of_scratch():
+    rng = np.random.default_rng(8)
+    w, g = (rng.standard_normal((1024, 512)).astype(np.float32) for _ in range(2))
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    _, peak = traced_peak(adam_step, w, g, m, v, 3, 1e-3)
+    # two whole-array scratch buffers took 4 MiB
+    assert peak <= MB, peak
 
 
 def test_read_image_peaks_near_the_raster(tmp_path):

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import reference_adam_step
+
 from avbinder.projection import (
+    _ADAM_BLOCK,
     HEAD_BLOCKS,
     PARAM_FIELDS,
     AdamState,
@@ -266,6 +269,31 @@ class TestAdam:
         assert abs(p[0] - 0.9) < 1e-8
         assert m[0] == pytest.approx(0.1)
         assert v[0] == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (_ADAM_BLOCK - 1,), (_ADAM_BLOCK,), (2 * _ADAM_BLOCK + 3,), (3, _ADAM_BLOCK // 2 + 1)],
+        ids=["1", "block-1", "block", "2block+3", "3x(block/2+1)"],
+    )
+    def test_blocks_match_the_reference_bit_for_bit(self, shape, dtype):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        param = rng.standard_normal(shape).astype(dtype)
+        m, v = np.zeros(shape, dtype), np.zeros(shape, dtype)
+        want = (param.copy(), m.copy(), v.copy())
+        for t in range(1, 5):
+            # gradients over ten orders of magnitude, some below eps's reach
+            grad = (rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 2, shape)).astype(dtype)
+            adam_step(param, grad, m, v, t, lr=1e-3)
+            want = reference_adam_step(want[0], grad, want[1], want[2], t, 1e-3)
+            for got, ref in zip((param, m, v), want):
+                assert got.tobytes() == ref.astype(dtype).tobytes()
+
+    def test_arrays_that_differ_in_shape_are_rejected(self):
+        p, m, v = np.ones(4), np.zeros(4), np.zeros(4)
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(p, np.ones(1), m, v, t=1, lr=0.1)
+        assert np.array_equal(p, np.ones(4))
 
     def test_update_is_deterministic(self):
         results = []

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import pls_projected_pairs, projected_pairs, reference_train_step
+from helpers import load_outcome, pls_projected_pairs, projected_pairs, reference_train_step
 
 import avbinder
 from avbinder.binder import BindModel
@@ -380,6 +380,76 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="model.mvbm: .*Adam"):
             load_checkpoint(path)
+
+    @staticmethod
+    def moments_checkpoint(tmp_path, edits=()):
+        """A checkpoint with random valid moments, then ``edits``, each
+        (kind, head index, parameter, flat index, value). The video head's
+        w1 moments span two 256 KiB pieces of the eval-only load."""
+        model = BindModel(video_head=init_head(1, 1024, 80, 16), audio_head=init_head(2, 64, 80, 16))
+        state = TrainState.for_model(model, seed=4)
+        rng = np.random.default_rng(9)
+        opts = (state.video_opt, state.audio_opt)
+        for opt in opts:
+            for name in PARAM_FIELDS:
+                opt.m[name][...] = rng.standard_normal(opt.m[name].shape)
+                opt.v[name][...] = rng.random(opt.v[name].shape)
+        for kind, head, name, index, value in edits:
+            getattr(opts[head], kind)[name].reshape(-1)[index] = value
+        path = tmp_path / "model.mvbm"
+        save_checkpoint(model, state, path)
+        return path
+
+    def test_eval_only_load_keeps_the_heads_and_drops_the_moments(self, tmp_path):
+        path = self.moments_checkpoint(tmp_path)
+        full = load_outcome(path)
+        assert isinstance(full, bytes)
+        assert load_outcome(path, with_optimizer=False) == full
+        assert load_checkpoint(path, with_optimizer=False)[1] is None
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "minus1"])
+    @pytest.mark.parametrize("kind", ["m", "v"])
+    @pytest.mark.parametrize("head, name, index", [(0, "w1", -1), (1, "b2", 0)], ids=["video", "audio"])
+    def test_eval_only_load_reports_a_damaged_moment_as_the_full_load_does(
+        self, tmp_path, head, name, index, kind, value
+    ):
+        # the last w1 value of the video head lies in the second piece
+        path = self.moments_checkpoint(tmp_path, [(kind, head, name, index, value)])
+        full = load_outcome(path)
+        assert load_outcome(path, with_optimizer=False) == full
+        if kind == "m" and value == -1.0:  # a negative first moment is valid
+            assert isinstance(full, bytes)
+        else:
+            assert full[0] is DataFormatError and full[1].startswith("model.mvbm: ") and "Adam" in full[1]
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # m blocks are checked before v blocks, whatever the file order
+            ([("v", 0, "w1", -1, float("nan")), ("m", 0, "b2", 0, float("inf"))], "m['b2']"),
+            # the video head's moments are checked before the audio head's
+            ([("v", 1, "bn_gamma", 0, float("nan")), ("v", 0, "w1", -1, -1.0)], "non-negative"),
+            # non-finite values before negative ones
+            ([("v", 0, "w1", 0, -1.0), ("v", 0, "w2", 5, float("inf"))], "v['w2']"),
+        ],
+        ids=["m-before-v", "video-before-audio", "non-finite-before-negative"],
+    )
+    def test_eval_only_load_reports_the_first_of_two_damaged_blocks(self, tmp_path, edits, message):
+        path = self.moments_checkpoint(tmp_path, edits)
+        full = load_outcome(path)
+        assert load_outcome(path, with_optimizer=False) == full
+        assert full[0] is DataFormatError and message in full[1]
+
+    @pytest.mark.parametrize("where", ["second-piece", "trailing"])
+    def test_eval_only_load_reports_a_short_or_long_file_as_the_full_load_does(self, tmp_path, where):
+        path = self.moments_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        heads = 4 * (1024 * 80 + 64 * 80 + 2 * (5 * 80 + 80 * 16 + 16))
+        # a cut 300 KiB into the video head's first-moment w1 block
+        path.write_bytes(blob[: 28 + heads + 300 * 1024] if where == "second-piece" else blob + b"\0")
+        full = load_outcome(path)
+        assert load_outcome(path, with_optimizer=False) == full
+        assert full[0] is TruncatedPayloadError
 
     def test_full_run_reproducibility(self, tmp_path):
         # (seed, config, dataset) fully determine the checkpoint bytes
