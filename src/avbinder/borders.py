@@ -406,11 +406,13 @@ def _frame_candidates(frame: np.ndarray, params: BorderParams) -> list[EdgeCandi
 
 
 def apply_crop(img: np.ndarray, rect: CropRect) -> np.ndarray:
-    """Copy the rectangle out of a gray or RGB image."""
+    """The rectangle of a gray or RGB image, as a view of ``img``: no copy
+    is made here, so a writer that needs contiguous rows copies only a
+    rectangle that narrows the rows."""
     img = np.asarray(img)
     if img.ndim not in (2, 3):
         raise ValueError(f"expected 2-D or 3-D image, got shape {img.shape}")
     height, width = img.shape[:2]
     if rect.right > width or rect.bottom > height:
         raise ValueError(f"crop rect {rect} exceeds image bounds {width}x{height}")
-    return img[rect.top : rect.bottom, rect.left : rect.right].copy()
+    return img[rect.top : rect.bottom, rect.left : rect.right]

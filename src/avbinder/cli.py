@@ -212,7 +212,8 @@ def _check_held_out_flags(args) -> None:
 
 def _check_output_files(args, *dests) -> None:
     """Exit 2 before any work if an output file's path is empty, its parent
-    is not a directory or the path is one, rather than after the work. A
+    is not a directory or the path names something other than a regular
+    file (a directory, a FIFO, a device), rather than after the work. A
     ``dest`` whose flag was not given (``None``) is skipped."""
     for dest in dests:
         path = getattr(args, dest)
@@ -221,8 +222,8 @@ def _check_output_files(args, *dests) -> None:
         if path == "":
             raise OSError(f"--{dest.replace('_', '-')}: empty output path")
         target = Path(path).resolve()  # as write_atomic resolves it
-        if target.is_dir():
-            raise OSError(f"{path}: is a directory, not an output file")
+        if target.exists() and not target.is_file():
+            raise OSError(f"{path}: not a regular file, so not an output file")
         if not target.parent.is_dir():
             raise OSError(f"{path}: {target.parent} is not a directory")
 
@@ -238,10 +239,6 @@ def _cmd_train(args) -> int:
     if args.n_val > 0:
         spec = SplitSpec(n_val=args.n_val, seed=derive_seed(args.seed, "split"))
         dataset, val = split_dataset(dataset, spec)
-        if args.val_video_out:
-            save_embeddings(val.video, args.val_video_out)
-        if args.val_audio_out:
-            save_embeddings(val.audio, args.val_audio_out)
 
     cfg = TrainConfig(
         batch_size=args.batch,
@@ -274,6 +271,11 @@ def _cmd_train(args) -> int:
         lines = (f"{step}\t{np.format_float_positional(loss, unique=True)}\n".encode("utf-8")
                  for step, loss in enumerate(losses, start=1))
         write_atomic(args.history, lines)
+    # written with the other outputs, so a run that fails in training leaves none
+    if args.val_video_out:
+        save_embeddings(val.video, args.val_video_out)
+    if args.val_audio_out:
+        save_embeddings(val.audio, args.val_audio_out)
     print(
         f"trained {len(losses)} steps on {dataset.count} pairs,"
         f" final loss {losses[-1]:.6f}, checkpoint {args.out}",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 import uuid
 from contextlib import contextmanager
@@ -121,6 +122,17 @@ class BinaryReader:
             raise TruncatedPayloadError(f"{self.source}: truncated while it was read")
 
 
+def _open_input(path, source: str) -> BinaryIO:
+    """``open(path, "rb")`` for a reader, refusing what is not a regular
+    file: opening a FIFO would block, and every reader needs the file's
+    size or a second pass over it."""
+    fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise OSError(f"{source}: not a regular file")
+    return fh
+
+
 @contextmanager
 def naming_file(source: str):
     """Re-raise a validator's ``ValueError`` as a ``DataFormatError`` naming
@@ -137,8 +149,11 @@ def write_atomic(path, parts: Iterable[bytes | np.ndarray]) -> None:
     temporary file beside ``path``, then ``os.replace`` it over ``path``: a
     failed write, also one a generator of parts raises, leaves the old file
     as it was and no temporary behind. Nothing is fsynced, so this survives
-    a crash of the process, not a power loss."""
+    a crash of the process, not a power loss. A target that exists and is
+    not a regular file (a directory, a FIFO, a device) is refused."""
     path = Path(path).resolve()  # a symlinked target is written through, as before
+    if path.exists() and not path.is_file():
+        raise OSError(f"{path}: not a regular file, so not replaced")
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -245,7 +260,7 @@ def _binary_parts(m: EmbeddingMatrix):
 
 
 def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
+    with _open_input(path, source) as fh:
         reader = BinaryReader(fh, source)
         reader.expect(MAGIC, FORMAT_VERSION)
         dim, count = reader.unpack("<IQ")
@@ -303,7 +318,7 @@ def _tsv_shape(fh) -> tuple[int, int]:
 def _load_tsv(path: Path, source: str) -> EmbeddingMatrix:
     ids: list[str] = []
     dim: int | None = None
-    with open(path, "rb") as fh:  # binary lines split only at b"\n"
+    with _open_input(path, source) as fh:  # binary lines split only at b"\n"
         # one byte pass sizes the float32 block, the second fills it row by row
         data = np.empty(_tsv_shape(fh), np.float32)
         fh.seek(0)

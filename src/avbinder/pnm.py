@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedio import BinaryReader, write_atomic
+from .embedio import BinaryReader, _open_input, write_atomic
 from .errors import BadMagicError, DataFormatError
 
 
@@ -36,7 +36,7 @@ def read_image(path) -> np.ndarray:
     """Load a P5/P6 file as uint8 (H, W) or (H, W, 3)."""
     path = Path(path)
     source = path.name
-    with open(path, "rb") as fh:
+    with _open_input(path, source) as fh:
         reader = BinaryReader(fh, source)
         magic = reader.take(2)
         if magic not in (b"P5", b"P6"):

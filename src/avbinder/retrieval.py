@@ -25,30 +25,30 @@ After clipping the two scores differ by at most the sum of these, which
 :func:`_screen_margin` pads into delta (about 2 * (D + 6) * 2**-24). So:
 
 * top-K keeps every candidate whose GEMM score is within 2*delta of the
-  K-th largest GEMM score, which is a superset of the exact top K, rescores
-  those with ``row_dots`` and orders them by (-score, id);
+  K-th largest GEMM score (all of them when K >= count), a superset of the
+  exact top K, and rescores those with ``row_dots``;
 * Recall@K counts a candidate as better than the true partner when its
   GEMM score exceeds the partner's exact score by more than delta, as not
-  better when it falls short by more than delta; each query row with
-  candidates in the band between (its partner aside) is rescored once with
-  ``row_dots`` before the id tie-break.
+  better when it falls short by more than delta, and rescores the query
+  row's candidates in the band between (its partner aside) once.
 
-Both rescore through :func:`_exact_scores`, so ``row_dots`` is the one exact
-reduction; the partner's own score, ``(u * v).sum(axis=-1)`` over aligned
-rows, is the same product and pairwise sum with the same bits. A
-:class:`RetrievalIndex` keeps the float32 rows, their float64 norms and the
-float32 screen rows, and rebuilds the float64 unit rows of the rescored
-candidates only, so no float64 copy of the library is made. Ids order as
-Python strings do, as in :func:`avbinder.embedio.pair_by_id`.
+Both screen in one pass, :func:`_screened`, which normalizes the query
+rows and scores them in blocks of at most ``_BLOCK_SCORES`` GEMM scores, so
+memory stays bounded at any library size (the exact-search design of FAISS,
+Johnson, Douze, Jegou, 2017). Both rescore through :func:`_exact_scores`,
+so ``row_dots`` is the one exact reduction; the partner's own score,
+``(u * v).sum(axis=-1)`` over aligned rows, has the same bits.
 
-Query rows are screened in blocks of at most ``_BLOCK_SCORES`` GEMM scores,
-so memory stays bounded at any library size. This is the exact-search
-design of FAISS (Johnson, Douze, Jegou, 2017): blocked GEMM plus selection.
+Ids order as Python strings do, as in :func:`avbinder.embedio.pair_by_id`,
+and are compared only where exact scores tie: top-K sorts each row's few
+rescored candidates by (-score, id), and Recall@K counts a band candidate
+that ties the partner as better only when its id is smaller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -82,51 +82,34 @@ def _screen_margin(dim: int) -> float:
     return 2.0 * (gemm + 2.0 * 2.0**-24 + exact) + 2.0**-22 + dim * 2.0**-146
 
 
-def _id_ranks(ids) -> np.ndarray:
-    """Position of each id in ascending string order; equal ids share one."""
-    # an object array sorts by Python's str comparison and copies no text
-    return np.unique(np.array(ids, dtype=object), return_inverse=True)[1]
-
-
-@dataclass(frozen=True)
 class RetrievalIndex:
     """Candidate rows for search, with what the screen derives from them.
 
     ``rows`` are kept as given (float32 when built from an
     :class:`EmbeddingMatrix`, and then not copied). ``norms`` are their
-    float64 norms, computed as :func:`l2_normalize_rows` computes them, and
-    ``screen`` holds the float64 unit rows rounded once to float32. The
-    exact float64 unit rows are rebuilt from ``rows`` and ``norms`` only
-    for the candidates being rescored, with the same bits.
+    float64 norms, computed as :func:`l2_normalize_rows` computes them,
+    ``screen`` holds the float64 unit rows rounded once to float32, and
+    ``margin`` is the screen's delta. Both arrays are read-only. The exact
+    float64 unit rows are rebuilt from ``rows`` and ``norms`` only for the
+    candidates being rescored, with the same bits, so no float64 copy of the
+    library is made.
     """
 
-    ids: tuple[str, ...]
-    rows: np.ndarray
-    norms: np.ndarray = field(init=False, repr=False, compare=False)
-    screen: np.ndarray = field(init=False, repr=False, compare=False)
-    # ascending-id position of each row, and the screen's delta
-    id_rank: np.ndarray = field(init=False, repr=False, compare=False)
-    margin: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows)
-        n, dim = rows.shape
-        norms = np.empty(n, dtype=np.float64)
-        screen = np.empty((n, dim), dtype=np.float32)
+    def __init__(self, ids: tuple[str, ...], rows: np.ndarray) -> None:
+        self.ids, self.rows = tuple(ids), np.asarray(rows)
+        n, dim = self.rows.shape
+        self.norms = np.empty(n, dtype=np.float64)
+        self.screen = np.empty((n, dim), dtype=np.float32)
+        self.margin = _screen_margin(dim)
         # in blocks, so no float64 copy of the rows is made; normalization
         # is row-wise, so the bits are those of one whole-matrix call
         for start in range(0, n, _BLOCK_ROWS):
-            x = np.asarray(rows[start : start + _BLOCK_ROWS], dtype=np.float64)
+            x = np.asarray(self.rows[start : start + _BLOCK_ROWS], dtype=np.float64)
             block_norms = _row_norms(x)
-            norms[start : start + len(x)] = block_norms[:, 0]
-            screen[start : start + len(x)] = x / block_norms
-        norms.setflags(write=False)
-        screen.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "screen", screen)
-        object.__setattr__(self, "id_rank", _id_ranks(self.ids))
-        object.__setattr__(self, "margin", _screen_margin(dim))
+            self.norms[start : start + len(x)] = block_norms[:, 0]
+            self.screen[start : start + len(x)] = x / block_norms
+        self.norms.setflags(write=False)
+        self.screen.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -170,21 +153,20 @@ class RecallReport:
 
 
 def build_index(m: EmbeddingMatrix) -> RetrievalIndex:
-    """An immutable search index over the (projected) rows of ``m``."""
+    """A search index over the (projected) rows of ``m``."""
     return RetrievalIndex(ids=m.ids, rows=m.data)
 
 
-def _screen_topk(idx: RetrievalIndex, nq: np.ndarray, k: int) -> np.ndarray:
-    """Mask over (query row, candidate) holding every candidate that can be
-    in the exact top k of its row: float32 GEMM score within 2*delta of
-    the k-th."""
-    n = idx.count
-    if k >= n:
-        return np.ones((nq.shape[0], n), dtype=bool)
-    g = nq.astype(np.float32) @ idx.screen.T
-    np.clip(g, -1.0, 1.0, out=g)
-    kth = np.partition(g, n - k, axis=1)[:, n - k]
-    return g >= (kth - 2.0 * idx.margin)[:, None]  # a float32 threshold
+def _screened(idx: RetrievalIndex, queries: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """For each block of query rows with at most ``_BLOCK_SCORES`` scores:
+    its first row, its float64 unit rows and their clipped float32 GEMM
+    scores against ``idx.screen``."""
+    step = max(1, _BLOCK_SCORES // idx.count)
+    for start in range(0, queries.shape[0], step):
+        u = l2_normalize_rows(queries[start : start + step])
+        g = u.astype(np.float32) @ idx.screen.T
+        np.clip(g, -1.0, 1.0, out=g)
+        yield start, u, g
 
 
 def _exact_scores(idx: RetrievalIndex, row: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -209,17 +191,19 @@ def retrieve_topk_batch(
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[0] != len(query_ids):
         raise ValueError("queries must be one row per query id")
-    results = []
-    step = max(1, _BLOCK_SCORES // idx.count)
-    for start in range(0, queries.shape[0], step):
-        block = l2_normalize_rows(queries[start : start + step])
-        keep = _screen_topk(idx, block, k)
-        for r in range(block.shape[0]):
+    n, results = idx.count, []
+    for start, u, g in _screened(idx, queries):
+        if k < n:  # every candidate that can be in the exact top k: within 2*delta of the k-th
+            kth = np.partition(g, n - k, axis=1)[:, n - k]
+            keep = g >= (kth - 2.0 * idx.margin)[:, None]  # a float32 threshold
+        else:
+            keep = np.ones(g.shape, dtype=bool)
+        for r in range(len(u)):
             cand = np.flatnonzero(keep[r])
-            scores = _exact_scores(idx, block[r], cand)
-            order = np.lexsort((idx.id_rank[cand], -scores))[:k]  # best k by (-score, id)
-            items = tuple((idx.ids[cand[i]], float(scores[i])) for i in order)
-            results.append(RetrievalResult(query_id=query_ids[start + r], items=items))
+            scores = _exact_scores(idx, u[r], cand).tolist()
+            # best k by (-score, id): ids compare only where scores tie
+            items = sorted(zip((idx.ids[j] for j in cand), scores), key=lambda item: (-item[1], item[0]))[:k]
+            results.append(RetrievalResult(query_id=query_ids[start + r], items=tuple(items)))
     return results
 
 
@@ -246,19 +230,15 @@ def recall_from_projections(
         raise ValueError("empty validation set")
     if any(k <= 0 for k in ks):
         raise ValueError("K values must be positive")
-    cands = RetrievalIndex(ids=tuple(ids), rows=y_candidate)
+    cands = RetrievalIndex(ids, y_candidate)
     n = cands.count
     # candidate j outranks the true match if it scores higher, or ties with
     # a lexicographically smaller id (same rule as retrieve_topk)
     better = np.zeros(n, dtype=np.int64)
-    step = max(1, _BLOCK_SCORES // n)
-    for start in range(0, n, step):
-        u = l2_normalize_rows(y_query[start : start + step])
+    for start, u, gap in _screened(cands, y_query):
         stop = start + u.shape[0]
         own = (u * cands._unit_rows(slice(start, stop))).sum(axis=-1)  # row_dots bits, see above
         np.clip(own, -1.0, 1.0, out=own)
-        gap = u.astype(np.float32) @ cands.screen.T
-        np.clip(gap, -1.0, 1.0, out=gap)
         gap -= own.astype(np.float32)[:, None]
         better[start:stop] += np.count_nonzero(gap > cands.margin, axis=1)
         band = np.abs(gap, out=gap) <= cands.margin
@@ -266,8 +246,8 @@ def recall_from_projections(
         for r in np.flatnonzero(band.any(axis=1)):
             q, cand = start + r, np.flatnonzero(band[r])
             exact = _exact_scores(cands, u[r], cand)
-            wins = (exact > own[r]) | ((exact == own[r]) & (cands.id_rank[cand] < cands.id_rank[q]))
-            better[q] += np.count_nonzero(wins)
+            tied = cand[exact == own[r]]
+            better[q] += np.count_nonzero(exact > own[r]) + sum(cands.ids[j] < cands.ids[q] for j in tied)
     ranks = 1 + better
     recall = {int(k): float((ranks <= k).mean()) for k in ks}
     return RecallReport(direction=direction, query_count=n, recall=recall)

@@ -56,7 +56,7 @@ from .binder import (
     normalize_backward,
     row_dots,  # noqa: F401  unused here; perfbench's train trace wraps training.row_dots
 )
-from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, naming_file, write_atomic
+from .embedio import BinaryReader, EmbeddingMatrix, PairedDataset, _open_input, naming_file, write_atomic
 from .errors import DataFormatError, DivergenceError, TruncatedPayloadError
 from .projection import (
     HEAD_BLOCKS,
@@ -296,7 +296,7 @@ def load_checkpoint(path, *, with_optimizer: bool = True) -> tuple[BindModel, Tr
     load holds about the heads' bytes. It returns ``(model, None)``.
     """
     source = Path(path).name
-    with open(path, "rb") as fh:
+    with _open_input(path, source) as fh:
         reader = BinaryReader(fh, source)
         reader.expect(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         tau, d_in_v, d_in_a, d_hid, d_out = reader.unpack(CHECKPOINT_HEADER)

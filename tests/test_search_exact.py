@@ -32,7 +32,6 @@ from avbinder.cli import run_cli
 from avbinder.embedio import EmbeddingMatrix
 from avbinder.retrieval import (
     DIRECTION_V2A,
-    _id_ranks,
     build_index,
     recall_from_projections,
     retrieve_topk,
@@ -247,6 +246,15 @@ class TestFloat32NearTies:
         assert got.recall == oracle_recall(yq, yc, ids, ks)
 
 
+class TestIndex:
+    def test_equality_is_identity(self):
+        # the frozen dataclass compared its arrays with ==, which raised
+        m = EmbeddingMatrix(ids=("a", "b"), data=np.eye(2, dtype=np.float32))
+        idx = build_index(m)
+        assert idx == idx and idx != build_index(m)
+        assert not (idx.norms.flags.writeable or idx.screen.flags.writeable)
+
+
 class TestIdOrder:
     # numpy's fixed-width strings drop trailing NULs, so "a" and "a\x00"
     # compared equal there; Python orders "a" first, as pair_by_id does
@@ -261,14 +269,16 @@ class TestIdOrder:
 
     def test_ranking_ids_does_not_scale_with_the_longest_id(self):
         ids = tuple(f"trk-{i:04d}" for i in range(1000)) + ("x" * 60000,)
+        m = EmbeddingMatrix(ids=ids[::-1], data=np.ones((len(ids), 4), np.float32))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ranks = _id_ranks(ids)
+            # every score ties, so all 1001 ids are compared
+            items = retrieve_topk(build_index(m), np.ones(4), len(ids)).items
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert ranks[-1] == 1000 and list(ranks[:3]) == [0, 1, 2]
+        assert [cid for cid, _ in items] == list(ids)
         # a fixed-width unicode array padded every id to 60000 characters
         assert peak <= 5 << 20, peak
 
