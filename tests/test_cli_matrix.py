@@ -18,9 +18,9 @@ import shutil
 import signal
 import stat
 
-from helpers import make_clip
-
 import pytest
+
+from helpers import make_clip
 
 from avbinder import pnm
 from avbinder.cli import build_parser, run_cli
