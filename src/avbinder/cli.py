@@ -69,11 +69,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(parse, low=-math.inf, high=math.inf, low_open=False):
     """argparse type: ``parse`` the text, then require a finite value in
-    [low, high], or in (low, high] when ``low_open``."""
+    [low, high], or in (low, high] when ``low_open``. An integer is plain
+    ASCII decimal digits: no sign, space, underscore or other script's
+    digits, all of which Python's ``int`` accepts."""
     kind = "an integer" if parse is int else "a number"
     interval = f"{'(' if low_open else '['}{low}, {high}]"
 
     def check(text: str):
+        if parse is int and not (text.isascii() and text.isdigit()):
+            raise argparse.ArgumentTypeError(f"not plain decimal digits: {text!r}")
         try:
             value = parse(text)
         except ValueError:
@@ -103,11 +107,8 @@ def _positive_float32(text: str) -> float:
 
 
 def _parse_k_list(text: str) -> list[int]:
-    try:
-        ks = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad K list {text!r}")
-    if not ks or any(k < 1 for k in ks):
+    ks = [_positive_int(part) for part in text.split(",") if part]
+    if not ks:
         raise argparse.ArgumentTypeError(f"bad K list {text!r}")
     return ks
 

@@ -375,16 +375,19 @@ def load_embeddings(path) -> EmbeddingMatrix:
 
 
 def pair_by_id(video: EmbeddingMatrix, audio: EmbeddingMatrix) -> PairedDataset:
-    """Align two matrices on their common ids, sorted lexicographically."""
-    common = sorted(set(video.ids) & set(audio.ids))
+    """Align two matrices on their common ids, sorted lexicographically. A
+    side whose ids are already those, in that order, is used as it is."""
+    common = tuple(sorted(set(video.ids) & set(audio.ids)))
     if not common:
         raise ValueError("no common ids")
-    v_pos = {item_id: i for i, item_id in enumerate(video.ids)}
-    a_pos = {item_id: i for i, item_id in enumerate(audio.ids)}
-    return PairedDataset(
-        video=video.take(v_pos[i] for i in common),
-        audio=audio.take(a_pos[i] for i in common),
-    )
+
+    def aligned(m: EmbeddingMatrix) -> EmbeddingMatrix:
+        if m.ids == common:
+            return m
+        pos = {item_id: i for i, item_id in enumerate(m.ids)}
+        return m.take(pos[i] for i in common)
+
+    return PairedDataset(video=aligned(video), audio=aligned(audio))
 
 
 def split_dataset(

@@ -136,16 +136,9 @@ def init_head(
     )
 
 
-def head_forward(
-    head: ProjectionHead,
-    x: np.ndarray,
-    training: bool,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache | None]:
-    """Project a batch into an array of the head's dtype. Training mode
-    updates running stats in place and returns a cache for
-    :func:`head_backward`; eval mode returns no cache and draws nothing
-    from ``rng``."""
+def as_batch(head: ProjectionHead, x) -> np.ndarray:
+    """``x`` cast to the head's dtype; ValueError unless it is a finite
+    batch of shape (N, d_in) with N >= 1."""
     x = np.asarray(x, dtype=head.dtype)
     if x.ndim != 2 or x.shape[1] != head.d_in:
         raise ValueError(f"expected batch of shape (N, {head.d_in}), got {x.shape}")
@@ -153,6 +146,33 @@ def head_forward(
         raise ValueError("batch must contain at least one row")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input batch")
+    return x
+
+
+def dropout_uniforms(head: ProjectionHead, rows: int, rng: np.random.Generator | None) -> np.ndarray | None:
+    """The uniforms a training forward of ``rows`` rows compares with
+    ``dropout_p``, drawn from ``rng``; None, with nothing drawn, when the
+    head has no dropout."""
+    if head.dropout_p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("training forward with dropout needs an rng")
+    return rng.random((rows, head.d_hid))
+
+
+def head_forward(
+    head: ProjectionHead,
+    x: np.ndarray,
+    training: bool,
+    rng: np.random.Generator | None = None,
+    uniforms: np.ndarray | None = None,
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Project a batch into an array of the head's dtype. Training mode
+    updates running stats in place and returns a cache for
+    :func:`head_backward`; its dropout compares ``uniforms`` if given (from
+    :func:`dropout_uniforms`), else draws them from ``rng``. Eval mode
+    returns no cache and draws nothing."""
+    x = as_batch(head, x)
 
     pre_bn = x @ head.w1 + head.b1
 
@@ -170,9 +190,11 @@ def head_forward(
     z = head.bn_gamma * x_hat + head.bn_beta
     gate = z > 0  # bool unless dropout scales it: eval allocates one byte per unit
     if training and head.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("training forward with dropout needs an rng")
-        keep = rng.random(z.shape) >= head.dropout_p
+        if uniforms is None:
+            uniforms = dropout_uniforms(head, len(x), rng)
+        elif uniforms.shape != z.shape:
+            raise ValueError(f"dropout uniforms of shape {uniforms.shape}, want {z.shape}")
+        keep = uniforms >= head.dropout_p
         gate = (gate & keep) * head.dtype.type(1.0 / (1.0 - head.dropout_p))
     dropped = z * gate
 
@@ -253,6 +275,7 @@ def adam_step(
     v: np.ndarray,
     t: int,
     lr: float,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """One Adam update of ``param``, ``m`` and ``v``, in place.
 
@@ -263,14 +286,17 @@ def adam_step(
     elements, so each block's operands stay in cache between its passes and
     the scratch buffers hold one block, with every bit as over the whole
     array. ``param``, ``m`` and ``v`` must share ``grad``'s shape and be
-    contiguous, so a flat view updates them.
+    contiguous, so a flat view updates them. ``scratch``, two rows of
+    ``param``'s dtype as long as a block or the whole array, is allocated
+    here when not given.
     """
     g = np.asarray(grad, dtype=param.dtype)
     if not param.shape == g.shape == m.shape == v.shape:
         raise ValueError(f"Adam arrays differ in shape: {param.shape}, {g.shape}, {m.shape}, {v.shape}")
     g = g.reshape(-1)
     param, m, v = (a.reshape(-1, copy=False) for a in (param, m, v))
-    scratch = np.empty((2, min(g.size, _ADAM_BLOCK)), param.dtype)
+    if scratch is None:
+        scratch = _adam_scratch(g.size, param.dtype)
     m_scale, v_scale = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     for start in range(0, g.size, _ADAM_BLOCK):
         block = slice(start, start + _ADAM_BLOCK)
@@ -296,7 +322,13 @@ def adam_step(
 def apply_update(
     head: ProjectionHead, grads: dict[str, np.ndarray], moments: AdamState, t: int, lr: float
 ) -> None:
-    """Adam-update every parameter in place as step ``t`` (1-based);
-    running stats are untouched."""
+    """Adam-update every parameter in place as step ``t`` (1-based), all
+    through one scratch pair; running stats are untouched."""
+    scratch = _adam_scratch(max(getattr(head, name).size for name in PARAM_FIELDS), head.dtype)
     for name in PARAM_FIELDS:
-        adam_step(getattr(head, name), grads[name], moments.m[name], moments.v[name], t, lr)
+        adam_step(getattr(head, name), grads[name], moments.m[name], moments.v[name], t, lr, scratch)
+
+
+def _adam_scratch(size: int, dtype) -> np.ndarray:
+    """The two scratch rows of :func:`adam_step` for arrays of up to ``size`` elements."""
+    return np.empty((2, min(size, _ADAM_BLOCK)), dtype)

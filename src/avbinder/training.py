@@ -4,8 +4,13 @@ Each step runs both heads forward in training mode on a paired batch,
 normalizes, scores all NxN cosine pairs with one GEMM, applies the symmetric
 contrastive loss, backpropagates exactly and Adam-updates both heads. The
 heads compute in their own dtype; normalization, scores and loss run in
-float64. The final partial batch of an epoch is dropped (batch statistics
-and in-batch negatives degenerate on tiny remainders).
+float64. The two heads share nothing but the scores, so their forwards run
+at once, the video head's on a second thread, and so do their backwards and
+their Adam updates; one second thread serves a whole ``train`` run.
+Normalization, scores and loss run on the caller's thread, and the dropout
+uniforms are drawn there before either forward, so the threads change no
+bit and no draw. The final partial batch of an epoch is dropped (batch
+statistics and in-batch negatives degenerate on tiny remainders).
 
 Checkpoint format (little-endian)::
 
@@ -37,9 +42,11 @@ checked through one small buffer and then dropped.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import struct
+import threading
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -65,6 +72,8 @@ from .projection import (
     AdamState,
     ProjectionHead,
     apply_update,
+    as_batch,
+    dropout_uniforms,
     head_backward,
     head_forward,
 )
@@ -125,6 +134,80 @@ class TrainState:
         )
 
 
+class _SecondThread:
+    """A thread that runs the video head's tasks, one at a time, while the
+    caller runs the audio head's: started on entering the ``with`` block,
+    joined on leaving it, also on an error, and used meanwhile by
+    :func:`_on_two_threads`.
+
+    ``train`` keeps one for its whole run. A thread per task pair costs
+    more: OpenBLAS sets up each new calling thread's buffers, and with more
+    than one BLAS thread two new callers at once slowed a step about twofold.
+    """
+
+    def __init__(self) -> None:
+        self._task = None  # (context, task) to run; None stops the thread
+        self._result = None  # (True, value) or (False, exception)
+        self._posted = threading.Semaphore(0)
+        self._finished = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve)
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            if self._task is None:
+                return
+            context, task = self._task
+            try:
+                self._result = (True, context.run(task))
+            except BaseException as exc:
+                self._result = (False, exc)
+            self._finished.release()
+
+    def __enter__(self) -> "_SecondThread":
+        self._thread.start()
+        self._token = _SECOND_THREAD.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _SECOND_THREAD.reset(self._token)
+        self._task = None  # taken once the task in hand, if any, has ended
+        self._posted.release()
+        self._thread.join()
+
+    def run(self, video_task, audio_task):
+        self._task = (contextvars.copy_context(), video_task)
+        self._posted.release()
+        try:
+            audio = audio_task()
+        finally:  # an interrupt here leaves the wait to __exit__'s join
+            self._finished.acquire()
+            done, video = self._result
+            if not done:
+                raise video
+        return video, audio
+
+
+_SECOND_THREAD: contextvars.ContextVar[_SecondThread | None] = contextvars.ContextVar("second_thread", default=None)
+
+
+def _on_two_threads(video_task, audio_task):
+    """``(video_task(), audio_task())``, the video task run on a second
+    thread and the audio task on this one.
+
+    The second thread is the open :class:`_SecondThread`, or one started
+    and joined for this call. It runs the task in a copy of this thread's
+    context, so numpy's ``errstate`` holds for both tasks. This returns or
+    raises once both tasks have ended, or on an interrupt; if both raise,
+    the video task's exception propagates.
+    """
+    second = _SECOND_THREAD.get()
+    if second is not None:
+        return second.run(video_task, audio_task)
+    with _SecondThread() as second:
+        return second.run(video_task, audio_task)
+
+
 def contrastive_loss_and_grads(
     model: BindModel,
     xv: np.ndarray,
@@ -133,22 +216,31 @@ def contrastive_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Training-mode forward through both heads and the full exact backward.
 
-    Draws the video dropout mask first, then the audio one, from ``rng``.
+    Both batches are checked before either head's running stats change. The
+    dropout uniforms are drawn from ``rng``, the video head's first, before
+    the two forwards run on two threads; normalization, scores and loss run
+    on this thread, and then the two heads' backwards on two threads.
     """
-    yv, cache_v = head_forward(model.video_head, xv, training=True, rng=rng)
-    ya, cache_a = head_forward(model.audio_head, xa, training=True, rng=rng)
+    video, audio = model.video_head, model.audio_head
+    xv, xa = as_batch(video, xv), as_batch(audio, xa)
+    uniforms_v = dropout_uniforms(video, len(xv), rng)
+    uniforms_a = dropout_uniforms(audio, len(xa), rng)
+    (yv, cache_v), (ya, cache_a) = _on_two_threads(
+        partial(head_forward, video, xv, training=True, uniforms=uniforms_v),
+        partial(head_forward, audio, xa, training=True, uniforms=uniforms_a),
+    )
     u = l2_normalize_rows(yv)
     v = l2_normalize_rows(ya)
     scores = u @ v.T
     loss = info_nce_loss(scores, model.temperature)
 
     g_scores = info_nce_backward(scores, model.temperature)
-    du = g_scores @ v
-    dv = g_scores.T @ u
-    d_yv = normalize_backward(yv, du)
-    d_ya = normalize_backward(ya, dv)
-    grads_v = head_backward(model.video_head, cache_v, d_yv)
-    grads_a = head_backward(model.audio_head, cache_a, d_ya)
+    d_yv = normalize_backward(yv, g_scores @ v)
+    d_ya = normalize_backward(ya, g_scores.T @ u)
+    grads_v, grads_a = _on_two_threads(
+        partial(head_backward, video, cache_v, d_yv),
+        partial(head_backward, audio, cache_a, d_ya),
+    )
     return loss, grads_v, grads_a
 
 
@@ -160,19 +252,27 @@ def train_step(
     lr: float,
     rng: np.random.Generator,
 ) -> float:
-    """One optimization step on a paired batch; returns the pre-update loss."""
+    """One optimization step on a paired batch; returns the pre-update loss.
+
+    Batches that fail their checks raise ValueError before either head,
+    Adam state or the step count changes. The two heads' updates run on two
+    threads. Overflow and invalid values warn nothing: a loss they make
+    non-finite raises :class:`DivergenceError`."""
     if len(xv) != len(xa):
         raise ValueError("video/audio batches must have equal size")
     if len(xv) < 2:
         raise ValueError("training batches need at least 2 pairs (no negatives otherwise)")
-    loss, grads_v, grads_a = contrastive_loss_and_grads(model, xv, xa, rng)
-    if not np.isfinite(loss) or loss > LOSS_CEILING:
-        raise DivergenceError(
-            f"training diverged at step {state.step + 1}: loss={loss!r}"
+    with np.errstate(over="ignore", invalid="ignore"):  # the video thread runs in a copy of this context
+        loss, grads_v, grads_a = contrastive_loss_and_grads(model, xv, xa, rng)
+        if not np.isfinite(loss) or loss > LOSS_CEILING:
+            raise DivergenceError(
+                f"training diverged at step {state.step + 1}: loss={loss!r}"
+            )
+        state.step += 1
+        _on_two_threads(
+            partial(apply_update, model.video_head, grads_v, state.video_opt, state.step, lr),
+            partial(apply_update, model.audio_head, grads_a, state.audio_opt, state.step, lr),
         )
-    state.step += 1
-    apply_update(model.video_head, grads_v, state.video_opt, state.step, lr)
-    apply_update(model.audio_head, grads_a, state.audio_opt, state.step, lr)
     return loss
 
 
@@ -206,21 +306,22 @@ def train(
     steps_per_epoch = dataset.count // cfg.batch_size
     xv_all = dataset.video.data
     xa_all = dataset.audio.data
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.shuffle:
-            order = rng_shuffle.permutation(dataset.count)
-        else:
-            order = np.arange(dataset.count)
-        for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            losses.append(train_step(model, xv_all[idx], xa_all[idx], state, cfg.lr, rng_dropout))
-        try:  # a bad update shows in the next loss; an epoch's last must not reach an eval or a checkpoint
-            model.video_head.check()
-            model.audio_head.check()
-        except ValueError as exc:
-            raise DivergenceError(f"training diverged at step {state.step}: {exc}") from None
-        if eval_fn is not None and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:
-            eval_fn(model)
+    with _SecondThread():  # every step's video-head tasks run on this one thread
+        for epoch in range(1, cfg.epochs + 1):
+            if cfg.shuffle:
+                order = rng_shuffle.permutation(dataset.count)
+            else:
+                order = np.arange(dataset.count)
+            for b in range(steps_per_epoch):
+                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                losses.append(train_step(model, xv_all[idx], xa_all[idx], state, cfg.lr, rng_dropout))
+            try:  # a bad update shows in the next loss; an epoch's last must not reach an eval or a checkpoint
+                model.video_head.check()
+                model.audio_head.check()
+            except ValueError as exc:
+                raise DivergenceError(f"training diverged at step {state.step}: {exc}") from None
+            if eval_fn is not None and cfg.eval_every > 0 and epoch % cfg.eval_every == 0:
+                eval_fn(model)
     return losses
 
 

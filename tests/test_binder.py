@@ -16,7 +16,7 @@ from avbinder.binder import (
 )
 from avbinder.embedio import EmbeddingMatrix
 from avbinder.errors import ZeroNormError
-from avbinder.projection import init_head
+from avbinder.projection import head_forward, init_head
 from avbinder.retrieval import build_index, retrieve_topk
 
 
@@ -263,6 +263,17 @@ class TestEvalProjection:
         y = project_audio(model, x)
         assert shapes == [((256, 16), False)] * 3
         assert y.shape == (600, 4) and y.dtype == np.float32
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_audio_rows_match_a_forward_per_padded_block(self, model_and_rows, n):
+        model, x, _ = model_and_rows
+        head, blocks = model.audio_head, []
+        for start in range(0, n, 256):
+            block = np.zeros((256, 1024), np.float32)
+            rows = x[start : min(n, start + 256)]
+            block[: len(rows)] = rows
+            blocks.append(head_forward(head, block, training=False)[0][: len(rows)])
+        assert project_audio(model, x[:n]).tobytes() == np.concatenate(blocks).tobytes()
 
     def test_float64_input_projects_as_its_float32_cast(self, model_and_rows):
         model, x, whole = model_and_rows

@@ -117,6 +117,28 @@ class TestUsage:
         assert out == "" and flag in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--epochs", "1_000"),
+            ("gen-synthetic", "--pairs", "１"),
+            ("train", "--batch", "+16"),
+            ("train", "--seed", " 3"),
+            ("crop", "--nms-radius", "٣"),
+            ("train", "--k", "1,1_0"),
+        ],
+    )
+    def test_integer_takes_plain_decimal_digits_only(self, command, flag, value, capsys):
+        # Python's int reads each of these as a number
+        required = {
+            "gen-synthetic": ["--out-video", "v.mvbe", "--out-audio", "a.mvbe"],
+            "train": ["--video", "v.mvbe", "--audio", "a.mvbe", "--out", "m.mvbm"],
+            "crop": ["f.pgm"],
+        }
+        code, out, err = run([command, *required[command], flag, value], capsys)
+        assert code == 1
+        assert out == "" and "not plain decimal digits" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "flags, named",
         [
             (["--n-val", "0", "--val-video-out", "held.mvbe"], ["--val-video-out", "--n-val"]),

@@ -256,6 +256,20 @@ class TestPairing:
         for i in range(paired.count):
             assert paired.video.ids[i] == paired.audio.ids[i]
 
+    def test_an_aligned_side_is_not_copied(self):
+        video = random_matrix(n=6)
+        audio = random_matrix(n=6, seed=1)
+        paired = pair_by_id(video, audio)
+        assert paired.video is video and paired.audio is audio
+        shuffled = pair_by_id(video, audio.take([3, 0, 5, 1, 4, 2]))
+        assert shuffled.video is video
+        assert bitwise_equal(shuffled.audio, audio)
+        # the split takes the same rows as from copies of the two matrices
+        copies = PairedDataset(video.take(range(6)), audio.take(range(6)))
+        for got, want in zip(split_dataset(paired, SplitSpec(n_val=2, seed=4)),
+                             split_dataset(copies, SplitSpec(n_val=2, seed=4))):
+            assert bitwise_equal(got.video, want.video) and bitwise_equal(got.audio, want.audio)
+
 
 class TestSplit:
     def make_paired(self, n, dim=6, seed=3):

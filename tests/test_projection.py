@@ -13,6 +13,7 @@ from avbinder.projection import (
     AdamState,
     adam_step,
     apply_update,
+    dropout_uniforms,
     head_backward,
     head_forward,
     init_head,
@@ -150,6 +151,22 @@ class TestForward:
         assert np.array_equal(y1, y2)
         assert np.array_equal(h.bn_running_mean, before[0])
         assert np.array_equal(h.bn_running_var, before[1])
+
+    def test_uniforms_drawn_first_give_the_rng_draws_mask(self):
+        x = np.random.default_rng(2).standard_normal((6, 16))
+        h = init_head(5, 16, 8, 4)
+        drawn = dropout_uniforms(h, len(x), np.random.default_rng(7))
+        assert drawn.shape == (6, 8)
+        y1, c1 = head_forward(h.copy(), x, training=True, rng=np.random.default_rng(7))
+        y2, c2 = head_forward(h.copy(), x, training=True, uniforms=drawn)
+        assert y1.tobytes() == y2.tobytes() and c1.gate.tobytes() == c2.gate.tobytes()
+        with pytest.raises(ValueError, match="uniforms of shape"):
+            head_forward(h, x, training=True, uniforms=drawn[:5])
+
+    def test_no_uniforms_drawn_without_dropout(self):
+        rng = np.random.default_rng(7)
+        assert dropout_uniforms(init_head(5, 16, 8, 4, dropout_p=0.0), 6, rng) is None
+        assert rng.random() == np.random.default_rng(7).random()
 
     def test_batchnorm_standardizes_batch(self):
         h = init_head(5, 32, 16, 8, dtype=np.float64)

@@ -1,7 +1,10 @@
 import os
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from helpers import load_outcome, pls_projected_pairs, projected_pairs, reference_train_step
 
 import avbinder
-from avbinder.binder import BindModel
+from avbinder.binder import BindModel, project_audio
 from avbinder.embedio import SplitSpec, save_embeddings, split_dataset
 from avbinder.errors import (
     BadMagicError,
@@ -19,7 +22,7 @@ from avbinder.errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from avbinder.projection import PARAM_FIELDS, init_head
+from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS, init_head
 from avbinder.retrieval import recall_at_k
 from avbinder.seeding import derive_seed
 from avbinder import training
@@ -167,6 +170,173 @@ class TestTrainStep:
         assert losses[-1] < losses[0]
         # trend property: trailing moving average well below the leading one
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
+
+
+def model_bytes(model, state):
+    """Every block of both heads, both Adam states and the step count."""
+    heads = [getattr(h, n).tobytes() for h in (model.video_head, model.audio_head) for n in HEAD_BLOCKS]
+    moments = [getattr(opt, kind)[n].tobytes()
+               for opt in (state.video_opt, state.audio_opt) for kind in ("m", "v") for n in PARAM_FIELDS]
+    return heads, moments, state.step
+
+
+class _Interrupt(BaseException):
+    """Raised by a signal handler, as KeyboardInterrupt is."""
+
+
+class TestTwoThreads:
+    """The video head's work runs on a second thread, the audio head's on the caller's."""
+
+    @pytest.fixture()
+    def stepped(self):
+        """A model and state one step in, and a fresh batch."""
+        data = gen_synthetic(16, 4, 0.1, seed=8, dim=64)
+        model = small_model(seed=3)
+        state = TrainState.for_model(model)
+        train_step(model, data.video.data[:8], data.audio.data[:8], state, 1e-2, np.random.default_rng(5))
+        return model, state, data.video.data[8:].copy(), data.audio.data[8:].copy()
+
+    def test_both_batches_non_finite_raise_the_video_heads_error(self, stepped):
+        model, state, xv, xa = stepped
+        xv[0, 0] = np.nan
+        xa[1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite input batch") as excinfo:
+            train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        assert excinfo.traceback[-1].locals["head"] is model.video_head
+
+    def test_both_tasks_failing_raise_the_video_tasks_error(self):
+        def video():
+            time.sleep(0.05)  # the audio task fails first
+            raise KeyError("video")
+
+        def audio():
+            raise KeyError("audio")
+
+        with pytest.raises(KeyError, match="video") as excinfo:
+            training._on_two_threads(video, audio)
+        assert str(excinfo.value.__context__) == "'audio'"
+
+    def test_results_come_back_video_first(self):
+        assert training._on_two_threads(lambda: "video", lambda: "audio") == ("video", "audio")
+
+    def test_audio_failure_changes_nothing(self, stepped):
+        model, state, xv, xa = stepped
+        xa[3, 2] = np.nan
+        before = model_bytes(model, state)
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="non-finite input batch"):
+            train_step(model, xv, xa, state, 1e-2, rng)
+        assert model_bytes(model, state) == before
+        assert rng.random() == np.random.default_rng(1).random()  # no dropout drawn
+
+    @pytest.mark.parametrize("fail", [None, "video forward", "audio forward", "divergence", "audio update"])
+    def test_no_thread_outlives_a_train_step(self, stepped, monkeypatch, fail):
+        model, state, xv, xa = stepped
+        failing_head = {"video forward": model.video_head, "audio forward": model.audio_head}.get(fail)
+        real_forward, real_update = training.head_forward, training.apply_update
+
+        def forward(head, *args, **kwargs):
+            if head is failing_head:
+                raise ArithmeticError(fail)
+            return real_forward(head, *args, **kwargs)
+
+        def update(head, *args):
+            if fail == "audio update" and head is model.audio_head:
+                raise ArithmeticError(fail)
+            return real_update(head, *args)
+
+        monkeypatch.setattr(training, "head_forward", forward)
+        monkeypatch.setattr(training, "apply_update", update)
+        if fail == "divergence":
+            monkeypatch.setattr(training, "info_nce_loss", lambda s, tau: float("nan"))
+        before = threading.active_count()
+        if fail is None:
+            train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        else:
+            with pytest.raises((ArithmeticError, DivergenceError)):
+                train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows", [600, 0])
+    def test_no_thread_outlives_a_projection(self, stepped, rows):
+        model = stepped[0]
+        before = threading.active_count()
+        assert project_audio(model, np.ones((rows, 64), np.float32)).shape == (rows, 16)
+        with pytest.raises(ValueError, match="shape"):
+            project_audio(model, np.ones((rows, 63), np.float32))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_train_runs_the_video_tasks_on_one_thread_it_joins(self, monkeypatch, diverge):
+        data = gen_synthetic(64, 4, 0.1, seed=8, dim=64)
+        model = small_model(seed=3)
+        video_threads, losses = set(), []
+        real_forward, real_loss = training.head_forward, training.info_nce_loss
+
+        def forward(head, *args, **kwargs):
+            if head is model.video_head:
+                video_threads.add(threading.get_ident())
+            return real_forward(head, *args, **kwargs)
+
+        def loss(s, tau):
+            losses.append(real_loss(s, tau))
+            return float("nan") if diverge and len(losses) == 3 else losses[-1]
+
+        monkeypatch.setattr(training, "head_forward", forward)
+        monkeypatch.setattr(training, "info_nce_loss", loss)
+        before = threading.active_count()
+        cfg = TrainConfig(batch_size=16, epochs=2, seed=1)
+        if diverge:
+            with pytest.raises(DivergenceError, match="step 3"):
+                train(model, data, cfg)
+        else:
+            assert len(train(model, data, cfg)) == 8
+        assert threading.active_count() == before
+        assert len(video_threads) == 1 and threading.get_ident() not in video_threads
+
+    def test_pairs_stay_paired_under_contention(self):
+        # three callers, each with its own second thread: more threads than cores
+        def caller(k, out):
+            with training._SecondThread():
+                out.extend(training._on_two_threads(lambda i=i: (k, i), lambda i=i: (k, -i)) for i in range(500))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [[] for _ in range(3)]
+            callers = [threading.Thread(target=caller, args=(k, results[k])) for k in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, pairs in enumerate(results):
+            assert pairs == [((k, i), (k, -i)) for i in range(500)]
+
+    def test_an_error_waits_for_the_second_thread(self):
+        finished = []
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            training._on_two_threads(lambda: time.sleep(0.2) or finished.append(True), lambda: {}["audio"])
+        assert finished == [True] and threading.active_count() == before
+
+    def test_an_interrupt_during_the_join_waits_for_the_second_thread(self):
+        def interrupt(signum, frame):
+            raise _Interrupt
+
+        finished = []
+        before = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)  # while the caller joins
+        try:
+            with pytest.raises(_Interrupt):
+                training._on_two_threads(lambda: time.sleep(0.3) or finished.append(True), lambda: None)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert finished == [True] and threading.active_count() == before
 
 
 class TestTrainLoop:
