@@ -16,9 +16,14 @@ from .embedio import BinaryReader, _open_input, write_atomic
 from .errors import BadMagicError, DataFormatError
 
 
+_MAX_TOKEN = 20  # bytes: the digits of 2**64, more than any real width, height or maxval
+
+
 def _read_token(reader: BinaryReader) -> bytes:
     """Read the next header token, after any whitespace and '#' comment
-    lines, and the one whitespace byte that ends it; return the token."""
+    lines, and the one whitespace byte that ends it; return the token. A
+    token longer than ``_MAX_TOKEN`` bytes is a ``DataFormatError`` that
+    does not echo it; comments may be any length."""
     c = reader.take(1)
     while c == b"#" or c.isspace():
         if c == b"#":
@@ -27,6 +32,8 @@ def _read_token(reader: BinaryReader) -> bytes:
         c = reader.take(1)
     token = bytearray()
     while not c.isspace():
+        if len(token) == _MAX_TOKEN:
+            raise DataFormatError(f"{reader.source}: header token longer than {_MAX_TOKEN} bytes")
         token += c
         c = reader.take(1)
     return bytes(token)

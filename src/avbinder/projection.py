@@ -149,14 +149,12 @@ def as_batch(head: ProjectionHead, x) -> np.ndarray:
     return x
 
 
-def dropout_uniforms(head: ProjectionHead, rows: int, rng: np.random.Generator | None) -> np.ndarray | None:
+def dropout_uniforms(head: ProjectionHead, rows: int, rng: np.random.Generator) -> np.ndarray | None:
     """The uniforms a training forward of ``rows`` rows compares with
     ``dropout_p``, drawn from ``rng``; None, with nothing drawn, when the
     head has no dropout."""
     if head.dropout_p == 0.0:
         return None
-    if rng is None:
-        raise ValueError("training forward with dropout needs an rng")
     return rng.random((rows, head.d_hid))
 
 
@@ -164,15 +162,19 @@ def head_forward(
     head: ProjectionHead,
     x: np.ndarray,
     training: bool,
-    rng: np.random.Generator | None = None,
     uniforms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Project a batch into an array of the head's dtype. Training mode
     updates running stats in place and returns a cache for
-    :func:`head_backward`; its dropout compares ``uniforms`` if given (from
-    :func:`dropout_uniforms`), else draws them from ``rng``. Eval mode
-    returns no cache and draws nothing."""
+    :func:`head_backward`. With dropout it compares ``uniforms``, drawn by
+    :func:`dropout_uniforms`; missing or misshapen ones raise ValueError
+    before anything changes. Eval mode returns no cache and takes no
+    uniforms."""
     x = as_batch(head, x)
+    if training and head.dropout_p > 0.0:
+        shape = None if uniforms is None else uniforms.shape
+        if shape != (len(x), head.d_hid):
+            raise ValueError(f"dropout uniforms of shape {shape}, want {(len(x), head.d_hid)}")
 
     pre_bn = x @ head.w1 + head.b1
 
@@ -190,10 +192,6 @@ def head_forward(
     z = head.bn_gamma * x_hat + head.bn_beta
     gate = z > 0  # bool unless dropout scales it: eval allocates one byte per unit
     if training and head.dropout_p > 0.0:
-        if uniforms is None:
-            uniforms = dropout_uniforms(head, len(x), rng)
-        elif uniforms.shape != z.shape:
-            raise ValueError(f"dropout uniforms of shape {uniforms.shape}, want {z.shape}")
         keep = uniforms >= head.dropout_p
         gate = (gate & keep) * head.dtype.type(1.0 / (1.0 - head.dropout_p))
     dropped = z * gate

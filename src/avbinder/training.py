@@ -6,7 +6,8 @@ contrastive loss, backpropagates exactly and Adam-updates both heads. The
 heads compute in their own dtype; normalization, scores and loss run in
 float64. The two heads share nothing but the scores, so their forwards run
 at once, the video head's on a second thread, and so do their backwards and
-their Adam updates; one second thread serves a whole ``train`` run.
+their Adam updates. The second thread is the one worker of a standard
+``ThreadPoolExecutor``, which serves a whole ``train`` run.
 Normalization, scores and loss run on the caller's thread, and the dropout
 uniforms are drawn there before either forward, so the threads change no
 bit and no draw. The final partial batch of an epoch is dropped (batch
@@ -42,11 +43,11 @@ checked through one small buffer and then dropped.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import json
 import math
 import struct
-import threading
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -108,6 +109,8 @@ class TrainConfig:
             raise ValueError("temperature must be positive and finite")
         if self.eval_every < 0:
             raise ValueError("eval_every must be non-negative")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:  # checkpoints store it as uint64
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -134,78 +137,50 @@ class TrainState:
         )
 
 
-class _SecondThread:
-    """A thread that runs the video head's tasks, one at a time, while the
-    caller runs the audio head's: started on entering the ``with`` block,
-    joined on leaving it, also on an error, and used meanwhile by
-    :func:`_on_two_threads`.
+_VIDEO_WORKER: contextvars.ContextVar = contextvars.ContextVar("video_worker", default=None)
 
-    ``train`` keeps one for its whole run. A thread per task pair costs
+
+@contextlib.contextmanager
+def _video_worker():
+    """Open a one-thread pool for :func:`_on_two_threads`'s video tasks;
+    leaving the ``with`` block joins its thread, also on an error.
+
+    ``train`` holds one for its whole run. A thread per task pair costs
     more: OpenBLAS sets up each new calling thread's buffers, and with more
     than one BLAS thread two new callers at once slowed a step about twofold.
     """
+    # imported here, not at the top: concurrent.futures loads logging (about
+    # 7 ms), and `import avbinder.cli` loads neither
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self) -> None:
-        self._task = None  # (context, task) to run; None stops the thread
-        self._result = None  # (True, value) or (False, exception)
-        self._posted = threading.Semaphore(0)
-        self._finished = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve)
-
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            if self._task is None:
-                return
-            context, task = self._task
-            try:
-                self._result = (True, context.run(task))
-            except BaseException as exc:
-                self._result = (False, exc)
-            self._finished.release()
-
-    def __enter__(self) -> "_SecondThread":
-        self._thread.start()
-        self._token = _SECOND_THREAD.set(self)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _SECOND_THREAD.reset(self._token)
-        self._task = None  # taken once the task in hand, if any, has ended
-        self._posted.release()
-        self._thread.join()
-
-    def run(self, video_task, audio_task):
-        self._task = (contextvars.copy_context(), video_task)
-        self._posted.release()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        token = _VIDEO_WORKER.set(pool)
         try:
-            audio = audio_task()
-        finally:  # an interrupt here leaves the wait to __exit__'s join
-            self._finished.acquire()
-            done, video = self._result
-            if not done:
-                raise video
-        return video, audio
-
-
-_SECOND_THREAD: contextvars.ContextVar[_SecondThread | None] = contextvars.ContextVar("second_thread", default=None)
+            yield
+        finally:
+            _VIDEO_WORKER.reset(token)
 
 
 def _on_two_threads(video_task, audio_task):
-    """``(video_task(), audio_task())``, the video task run on a second
-    thread and the audio task on this one.
+    """``(video_task(), audio_task())``, the video task run on the open
+    :func:`_video_worker`'s thread, or on one opened and joined for this
+    call, and the audio task on this one.
 
-    The second thread is the open :class:`_SecondThread`, or one started
-    and joined for this call. It runs the task in a copy of this thread's
-    context, so numpy's ``errstate`` holds for both tasks. This returns or
-    raises once both tasks have ended, or on an interrupt; if both raise,
-    the video task's exception propagates.
+    The video task runs in a copy of this thread's context, so numpy's
+    ``errstate`` holds for both tasks. This returns or raises once both
+    tasks have ended, or on an interrupt; if both raise, the video task's
+    exception propagates, with the audio task's as its ``__context__``.
     """
-    second = _SECOND_THREAD.get()
-    if second is not None:
-        return second.run(video_task, audio_task)
-    with _SecondThread() as second:
-        return second.run(video_task, audio_task)
+    pool = _VIDEO_WORKER.get()
+    if pool is None:
+        with _video_worker():
+            return _on_two_threads(video_task, audio_task)
+    future = pool.submit(contextvars.copy_context().run, video_task)
+    try:
+        audio = audio_task()
+    finally:  # an interrupt during this wait leaves it to the pool's join
+        video = future.result()
+    return video, audio
 
 
 def contrastive_loss_and_grads(
@@ -306,7 +281,7 @@ def train(
     steps_per_epoch = dataset.count // cfg.batch_size
     xv_all = dataset.video.data
     xa_all = dataset.audio.data
-    with _SecondThread():  # every step's video-head tasks run on this one thread
+    with _video_worker():  # every step's video-head tasks run on this one thread
         for epoch in range(1, cfg.epochs + 1):
             if cfg.shuffle:
                 order = rng_shuffle.permutation(dataset.count)

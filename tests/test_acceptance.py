@@ -12,7 +12,7 @@ from helpers import make_clip, otsu_exhaustive, projected_pairs, sobel_naive, to
 
 from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import SplitSpec, load_embeddings, save_embeddings, split_dataset
-from avbinder.projection import PARAM_FIELDS, init_head, head_forward
+from avbinder.projection import PARAM_FIELDS, dropout_uniforms, init_head, head_forward
 from avbinder.retrieval import (
     DIRECTION_V2A,
     build_index,
@@ -57,8 +57,10 @@ def test_criterion_1_end_to_end_gradients():
     # clear of the ReLU kink
     probe = deepcopy(model)
     mask_rng = np.random.default_rng(mask_seed)
-    yv, cv = head_forward(probe.video_head, xv, training=True, rng=mask_rng)
-    ya, ca = head_forward(probe.audio_head, xa, training=True, rng=mask_rng)
+    uniforms_v = dropout_uniforms(probe.video_head, len(xv), mask_rng)
+    uniforms_a = dropout_uniforms(probe.audio_head, len(xa), mask_rng)
+    yv, cv = head_forward(probe.video_head, xv, training=True, uniforms=uniforms_v)
+    ya, ca = head_forward(probe.audio_head, xa, training=True, uniforms=uniforms_a)
     assert min(np.linalg.norm(yv, axis=1).min(), np.linalg.norm(ya, axis=1).min()) > 0.3
     for head, cache in ((probe.video_head, cv), (probe.audio_head, ca)):
         assert np.abs(head.bn_gamma * cache.x_hat + head.bn_beta).min() > 100 * step

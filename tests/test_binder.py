@@ -254,9 +254,9 @@ class TestEvalProjection:
         shapes = []
         real = binder.head_forward
 
-        def spy(head, x, training, rng=None):
+        def spy(head, x, training):
             shapes.append((x.shape, training))
-            return real(head, x, training, rng)
+            return real(head, x, training)
 
         monkeypatch.setattr(binder, "head_forward", spy)
         x = np.random.default_rng(0).standard_normal((600, 16)).astype(np.float32)

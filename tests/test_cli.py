@@ -800,6 +800,14 @@ class TestCrop:
         assert paths[1] in err and "between the passes" in err and "Traceback" not in err
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["frame0.pgm"]
 
+    def test_frame_with_an_overlong_header_token_is_a_short_data_error(self, tmp_path, capsys):
+        # the 2,000,000-digit width was once echoed to stderr in full
+        p = tmp_path / "f.pgm"
+        p.write_bytes(b"P5\n" + b"1" * 2_000_000 + b" 2\n255\n")
+        code, out, err = run(["crop", str(p)], capsys)
+        assert code == 2 and out == ""
+        assert "header token" in err and len(err.encode()) < 200
+
     def test_corrupt_frame_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "f.pgm"
         p.write_bytes(b"not an image")

@@ -299,9 +299,9 @@ def test_retrieve_one_query_projects_one_block(tmp_path, monkeypatch, capsys):
     shapes = []
     real = binder.head_forward
 
-    def spy(head, x, training, rng=None):
+    def spy(head, x, training):
         shapes.append((x.shape, training))
-        return real(head, x, training, rng)
+        return real(head, x, training)
 
     monkeypatch.setattr(binder, "head_forward", spy)
     argv = ["retrieve", "--checkpoint", str(tmp_path / "m.mvbm"), "--queries", str(tmp_path / "q.mvbe"),

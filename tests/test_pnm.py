@@ -64,3 +64,10 @@ def test_trailing_bytes_rejected(tmp_path):
 def test_bad_shape_write_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_image(tmp_path / "f.pgm", np.zeros((2, 2, 4), np.uint8))
+
+
+def test_long_comment_tolerated(tmp_path):
+    # header tokens are bounded in length, comments are not
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P5\n#" + b"9" * 100_000 + b"\n3 2\n255\n" + bytes(6))
+    assert read_image(path).shape == (2, 3)

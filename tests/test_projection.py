@@ -22,7 +22,8 @@ from avbinder.projection import (
 
 def sum_product_loss(head, x, r, mask_seed):
     """Scalar loss sum(Y * R) through a training-mode forward."""
-    y, _ = head_forward(head, x, training=True, rng=np.random.default_rng(mask_seed))
+    uniforms = dropout_uniforms(head, len(x), np.random.default_rng(mask_seed))
+    y, _ = head_forward(head, x, training=True, uniforms=uniforms)
     return float((y * r).sum())
 
 
@@ -92,7 +93,8 @@ class TestForward:
     def test_output_shape(self):
         h = init_head(0)
         x = np.random.default_rng(1).standard_normal((8, 1024)).astype(np.float32)
-        y, cache = head_forward(h, x, training=True, rng=np.random.default_rng(2))
+        uniforms = dropout_uniforms(h, len(x), np.random.default_rng(2))
+        y, cache = head_forward(h, x, training=True, uniforms=uniforms)
         assert y.shape == (8, 256)
         assert cache is not None
         y_eval, cache_eval = head_forward(h, x, training=False)
@@ -108,20 +110,24 @@ class TestForward:
     def test_identical_rows_degenerate_variance_is_finite(self):
         h = init_head(5, 16, 8, 4, dtype=np.float64)
         x = np.ones((4, 16))
-        y, cache = head_forward(h, x, training=True, rng=np.random.default_rng(0))
+        uniforms = dropout_uniforms(h, len(x), np.random.default_rng(0))
+        y, cache = head_forward(h, x, training=True, uniforms=uniforms)
         assert np.isfinite(y).all()
         assert (cache.batch_var == 0).all()
 
     def test_single_row_training_batch_allowed_by_eps(self):
         h = init_head(5, 16, 8, 4, dtype=np.float64)
-        y, _ = head_forward(h, np.ones((1, 16)), training=True, rng=np.random.default_rng(0))
+        x = np.ones((1, 16))
+        uniforms = dropout_uniforms(h, len(x), np.random.default_rng(0))
+        y, _ = head_forward(h, x, training=True, uniforms=uniforms)
         assert np.isfinite(y).all()
 
     def test_eval_is_rng_independent(self):
+        # eval takes no uniforms: its dropout is the identity
         h = init_head(5, 16, 8, 4)
         x = np.random.default_rng(1).standard_normal((6, 16))
-        y1, _ = head_forward(h, x, training=False, rng=np.random.default_rng(1))
-        y2, _ = head_forward(h, x, training=False, rng=np.random.default_rng(999))
+        y1, _ = head_forward(h, x, training=False)
+        y2, _ = head_forward(dataclasses.replace(h, dropout_p=0.0), x, training=False)
         assert np.array_equal(y1, y2)
 
     def test_shape_and_finiteness_errors(self):
@@ -135,7 +141,8 @@ class TestForward:
         h = init_head(5, 16, 8, 4, dtype=np.float64)
         x = np.random.default_rng(1).standard_normal((32, 16))
         batch_mean = (x @ h.w1 + h.b1).mean(axis=0)
-        _, cache = head_forward(h, x, training=True, rng=np.random.default_rng(0))
+        uniforms = dropout_uniforms(h, len(x), np.random.default_rng(0))
+        _, cache = head_forward(h, x, training=True, uniforms=uniforms)
         expect_mean = 0.9 * 0.0 + 0.1 * batch_mean
         expect_var = 0.9 * 1.0 + 0.1 * cache.batch_var
         np.testing.assert_allclose(h.bn_running_mean, expect_mean, rtol=1e-12)
@@ -146,8 +153,8 @@ class TestForward:
         h.bn_momentum = 0.0
         x = np.random.default_rng(1).standard_normal((6, 16))
         before = (h.bn_running_mean.copy(), h.bn_running_var.copy())
-        y1, _ = head_forward(h, x, training=True, rng=np.random.default_rng(4))
-        y2, _ = head_forward(h, x, training=True, rng=np.random.default_rng(1234))
+        y1, _ = head_forward(h, x, training=True)
+        y2, _ = head_forward(h, x, training=True)
         assert np.array_equal(y1, y2)
         assert np.array_equal(h.bn_running_mean, before[0])
         assert np.array_equal(h.bn_running_var, before[1])
@@ -156,12 +163,16 @@ class TestForward:
         x = np.random.default_rng(2).standard_normal((6, 16))
         h = init_head(5, 16, 8, 4)
         drawn = dropout_uniforms(h, len(x), np.random.default_rng(7))
-        assert drawn.shape == (6, 8)
-        y1, c1 = head_forward(h.copy(), x, training=True, rng=np.random.default_rng(7))
-        y2, c2 = head_forward(h.copy(), x, training=True, uniforms=drawn)
-        assert y1.tobytes() == y2.tobytes() and c1.gate.tobytes() == c2.gate.tobytes()
-        with pytest.raises(ValueError, match="uniforms of shape"):
-            head_forward(h, x, training=True, uniforms=drawn[:5])
+        assert drawn.tobytes() == np.random.default_rng(7).random((6, 8)).tobytes()
+        _, cache = head_forward(h.copy(), x, training=True, uniforms=drawn)
+        z = h.bn_gamma * cache.x_hat + h.bn_beta
+        assert cache.gate.tobytes() == (((z > 0) & (drawn >= 0.5)) * np.float32(2.0)).tobytes()
+        before = h.copy()
+        for uniforms in (None, drawn[:5]):  # no dropout source, or the wrong shape
+            with pytest.raises(ValueError, match="uniforms of shape"):
+                head_forward(h, x, training=True, uniforms=uniforms)
+        for name in HEAD_BLOCKS:
+            assert getattr(h, name).tobytes() == getattr(before, name).tobytes(), name
 
     def test_no_uniforms_drawn_without_dropout(self):
         rng = np.random.default_rng(7)
@@ -171,7 +182,8 @@ class TestForward:
     def test_batchnorm_standardizes_batch(self):
         h = init_head(5, 32, 16, 8, dtype=np.float64)
         x = np.random.default_rng(2).standard_normal((64, 32))
-        _, cache = head_forward(h, x, training=True, rng=np.random.default_rng(0))
+        uniforms = dropout_uniforms(h, len(x), np.random.default_rng(0))
+        _, cache = head_forward(h, x, training=True, uniforms=uniforms)
         assert (cache.batch_var > 0).all()
         np.testing.assert_allclose(cache.x_hat.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(cache.x_hat.var(axis=0), 1.0, atol=1e-3)
@@ -204,7 +216,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         passed = []
         for _ in range(200):
-            _, cache = head_forward(head, x, training=True, rng=rng)
+            uniforms = dropout_uniforms(head, len(x), rng)
+            _, cache = head_forward(head, x, training=True, uniforms=uniforms)
             z = head.bn_gamma * cache.x_hat + head.bn_beta
             passed.append(cache.gate[z > 0])
         passed = np.concatenate(passed)
@@ -220,7 +233,8 @@ class TestBackward:
         head = init_head(11, 16, 8, 4, dtype=np.float64)
         x = rng.standard_normal((5, 16))
         r = rng.standard_normal((5, 4))
-        _, cache = head_forward(head.copy(), x, training=True, rng=np.random.default_rng(77))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(77))
+        _, cache = head_forward(head.copy(), x, training=True, uniforms=uniforms)
         z = head.bn_gamma * cache.x_hat + head.bn_beta
         assert np.abs(z).min() > 5e-3  # perturbations stay clear of the ReLU kink
         grads = head_backward(head, cache, r)
@@ -235,7 +249,8 @@ class TestBackward:
             head = init_head(seed, 16, 8, 4, dtype=np.float64)
             x = rng.standard_normal((n, 16))
             r = rng.standard_normal((n, 4))
-            _, cache = head_forward(head.copy(), x, training=True, rng=np.random.default_rng(77))
+            uniforms = dropout_uniforms(head, len(x), np.random.default_rng(77))
+            _, cache = head_forward(head.copy(), x, training=True, uniforms=uniforms)
             grads = head_backward(head, cache, r)
             for name in PARAM_FIELDS:
                 fd = fd_gradient(head, name, x, r, 77, step=1e-5)
@@ -244,7 +259,8 @@ class TestBackward:
     def test_zero_upstream_gradient_gives_zero_gradients(self):
         head = init_head(3, 16, 8, 4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((5, 16))
-        _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(1))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(1))
+        _, cache = head_forward(head, x, training=True, uniforms=uniforms)
         grads = head_backward(head, cache, np.zeros((5, 4)))
         for name in PARAM_FIELDS:
             assert not grads[name].any()
@@ -253,7 +269,8 @@ class TestBackward:
         head = init_head(3, 16, 8, 4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((5, 16))
         dy = np.random.default_rng(1).standard_normal((5, 4))
-        _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(2))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(2))
+        _, cache = head_forward(head, x, training=True, uniforms=uniforms)
         g1 = head_backward(head, cache, dy)
         g2 = head_backward(head, cache, dy)
         for name in PARAM_FIELDS:
@@ -262,7 +279,8 @@ class TestBackward:
     def test_batch_mismatch_rejected(self):
         head = init_head(3, 16, 8, 4, dtype=np.float64)
         x = np.random.default_rng(0).standard_normal((5, 16))
-        _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(2))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(2))
+        _, cache = head_forward(head, x, training=True, uniforms=uniforms)
         with pytest.raises(ValueError):
             head_backward(head, cache, np.zeros((4, 4)))
 
@@ -272,7 +290,8 @@ class TestAdam:
         head = init_head(3, 16, 8, 4)
         state = AdamState.for_head(head)
         x = np.random.default_rng(0).standard_normal((5, 16))
-        _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(1))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(1))
+        _, cache = head_forward(head, x, training=True, uniforms=uniforms)
         grads = head_backward(head, cache, np.zeros((5, 4)))
         before = {n: getattr(head, n).copy() for n in PARAM_FIELDS}
         apply_update(head, grads, state, 1, lr=0.1)
@@ -318,7 +337,8 @@ class TestAdam:
             head = init_head(3, 16, 8, 4)
             state = AdamState.for_head(head)
             x = np.random.default_rng(0).standard_normal((5, 16))
-            _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(1))
+            uniforms = dropout_uniforms(head, len(x), np.random.default_rng(1))
+            _, cache = head_forward(head, x, training=True, uniforms=uniforms)
             g = head_backward(head, cache, np.ones((5, 4)))
             apply_update(head, g, state, 1, lr=1e-3)
             results.append(head.w1.tobytes())
@@ -328,7 +348,8 @@ class TestAdam:
         head = init_head(3, 16, 8, 4, dtype=np.float64)
         state = AdamState.for_head(head)
         x = np.random.default_rng(0).standard_normal((5, 16))
-        _, cache = head_forward(head, x, training=True, rng=np.random.default_rng(1))
+        uniforms = dropout_uniforms(head, len(x), np.random.default_rng(1))
+        _, cache = head_forward(head, x, training=True, uniforms=uniforms)
         rm, rv = head.bn_running_mean.copy(), head.bn_running_var.copy()
         grads = head_backward(head, cache, np.ones((5, 4)))
         apply_update(head, grads, state, 1, lr=0.5)

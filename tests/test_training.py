@@ -297,7 +297,7 @@ class TestTwoThreads:
     def test_pairs_stay_paired_under_contention(self):
         # three callers, each with its own second thread: more threads than cores
         def caller(k, out):
-            with training._SecondThread():
+            with training._video_worker():
                 out.extend(training._on_two_threads(lambda i=i: (k, i), lambda i=i: (k, -i)) for i in range(500))
 
         interval = sys.getswitchinterval()
@@ -314,6 +314,28 @@ class TestTwoThreads:
             sys.setswitchinterval(interval)
         for k, pairs in enumerate(results):
             assert pairs == [((k, i), (k, -i)) for i in range(500)]
+
+    def test_a_base_exception_in_the_video_task_reaches_the_caller(self):
+        def video():
+            raise _Interrupt
+
+        before = threading.active_count()
+        with pytest.raises(_Interrupt):
+            training._on_two_threads(video, lambda: "audio")
+        with training._video_worker():  # an open worker outlives the exception
+            with pytest.raises(_Interrupt):
+                training._on_two_threads(video, lambda: "audio")
+            assert training._on_two_threads(lambda: "video", lambda: "audio") == ("video", "audio")
+        assert threading.active_count() == before
+
+    def test_importing_the_cli_loads_no_executor(self):
+        # concurrent.futures, and the logging it imports, load on first training use
+        src = str(Path(avbinder.__file__).resolve().parents[1])
+        code = "import sys, avbinder.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_an_error_waits_for_the_second_thread(self):
         finished = []
@@ -400,6 +422,13 @@ class TestTrainLoop:
     def test_config_rejects_non_positive_or_non_finite_rates(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+    def test_config_rejects_a_seed_a_checkpoint_cannot_store(self, seed):
+        # 2**64 once trained every epoch and then failed in save_checkpoint
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=seed)
+        TrainConfig(seed=2**64 - 1)
 
     def test_batch_larger_than_dataset_rejected(self):
         data = gen_synthetic(8, 4, 0.1, seed=2, dim=64)
