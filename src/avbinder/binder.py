@@ -28,17 +28,29 @@ one; with fixed blocks a row's projection, and every score printed from it,
 is the same alone or inside a larger file. The blocks also bound the
 forward's intermediates to 256 rows, so only the output grows with the
 input.
+
+The blocks of one call run on two threads: the first half of them, in
+order, on the open worker thread (:func:`avbinder.projection.worker_thread`,
+which ``train``, ``eval`` and ``retrieve`` each hold for their run), and
+the second half, which holds the padded last block, on the caller's. A
+single block runs on the caller's thread alone. No bit moves: each block
+keeps its rows, its position in the file and its GEMM shape, each thread
+writes only its own rows of the output, and a block's result does not
+depend on which thread computes it. Each thread holds one block's buffer
+at a time, so two blocks in flight hold less than one block held with a
+temporary per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ZeroNormError
-from .projection import ProjectionHead, head_forward
+from .projection import ProjectionHead, head_forward, on_worker_and_caller
 
 NORM_FLOOR = 1e-12
 DEFAULT_TEMPERATURE = 0.07
@@ -151,21 +163,33 @@ def info_nce_backward(s, tau: float) -> np.ndarray:
 def _project(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
     """Eval-mode forward of ``x`` in blocks of ``_EVAL_BLOCK_ROWS`` rows,
     the last one zero-padded, into one array of the head's dtype; 0 rows
-    give a (0, d_out) array."""
+    give a (0, d_out) array. The first half of the blocks runs on the open
+    :func:`~avbinder.projection.worker_thread`, or on one opened for this
+    call, and the second half, with the padded block, on this thread; a
+    single block runs here alone."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != head.d_in:
         raise ValueError(f"expected a batch of shape (N, {head.d_in}), got {x.shape}")
     n, rows = x.shape[0], _EVAL_BLOCK_ROWS
     y = np.empty((n, head.d_out), dtype=head.dtype)
-    for start in range(0, n, rows):
-        block = x[start : start + rows]
-        if len(block) < rows:
-            padded = np.zeros((rows, head.d_in), dtype=head.dtype)
-            padded[: len(block)] = block
-            block = padded
-        # through the module global, so a wrapped head_forward sees each block
-        out, _ = head_forward(head, block, training=False)
-        y[start : start + rows] = out[: n - start]
+
+    def forward(starts: range) -> None:
+        for start in starts:
+            block = x[start : start + rows]
+            if len(block) < rows:
+                padded = np.zeros((rows, head.d_in), dtype=head.dtype)
+                padded[: len(block)] = block
+                block = padded
+            # through the module global, so a wrapped head_forward sees each
+            # block; its buffer is dropped once copied, so a thread holds one
+            y[start : start + rows] = head_forward(head, block, training=False)[0][: n - start]
+
+    starts = range(0, n, rows)
+    half = len(starts) // 2
+    if half:
+        on_worker_and_caller(partial(forward, starts[:half]), partial(forward, starts[half:]))
+    else:
+        forward(starts)
     return y
 
 

@@ -29,7 +29,7 @@ from .embedio import (
     write_atomic,
 )
 from .errors import DataFormatError, DivergenceError
-from .projection import init_head
+from .projection import init_head, worker_thread
 from .retrieval import (
     DIRECTION_A2V,
     DIRECTION_V2A,
@@ -296,9 +296,11 @@ def _projected(model: BindModel, rows: EmbeddingMatrix, side: str, path) -> Embe
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint, with_optimizer=False)[0]  # the Adam moments are checked, not kept
-    # each file is projected as it is read, so only projected rows are paired
-    video = _projected(model, load_embeddings(args.video), "video", args.video)
-    audio = _projected(model, load_embeddings(args.audio), "audio", args.audio)
+    # each file is projected as it is read, so only projected rows are paired;
+    # one worker thread serves both projections, as one serves a train run
+    with worker_thread():
+        video = _projected(model, load_embeddings(args.video), "video", args.video)
+        audio = _projected(model, load_embeddings(args.audio), "audio", args.audio)
     report = recall_at_k(pair_by_id(video, audio), ks=args.k, direction=_DIRECTIONS[args.direction][0])
     if args.format == "line":
         print(report.to_line())
@@ -315,8 +317,9 @@ def _cmd_retrieve(args) -> int:
         if args.query_id not in queries.ids:
             raise DataFormatError(f"query id {args.query_id!r} not in {args.queries}")
         queries = queries.take([queries.ids.index(args.query_id)])
-    queries = _projected(model, queries, query_side, args.queries)
-    candidates = _projected(model, load_embeddings(args.candidates), cand_side, args.candidates)
+    with worker_thread():  # one worker thread serves both projections
+        queries = _projected(model, queries, query_side, args.queries)
+        candidates = _projected(model, load_embeddings(args.candidates), cand_side, args.candidates)
     if candidates.count == 0:
         raise DataFormatError(f"{args.candidates}: no candidate rows to search")
     index = build_index(candidates)

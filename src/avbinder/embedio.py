@@ -56,6 +56,7 @@ from .errors import (
 MAGIC = b"MVBE"
 FORMAT_VERSION = 1
 MAX_ID_BYTES = 0xFFFF  # id length is stored as uint16
+_ID_LENGTH = struct.Struct("<H")
 
 
 class BinaryReader:
@@ -267,18 +268,31 @@ def _load_binary(path: Path, source: str) -> EmbeddingMatrix:
         if dim < 1:
             raise DataFormatError(f"{source}: dim must be positive")
         payload_bytes = 4 * count * dim
-        # checked before the ids, which are read one by one until the payload
         if reader.offset + payload_bytes > reader.size:
             raise TruncatedPayloadError(
                 f"{source}: truncated, {payload_bytes} payload bytes declared in a {reader.size}-byte file"
             )
-        ids: list[str] = []
-        for _ in range(count):
-            (id_len,) = reader.unpack("<H")
-            try:
-                ids.append(reader.take(id_len).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
+        # the id records fill the bytes up to the payload: one read, split here
+        ids_at = reader.offset
+        section = reader.take(reader.size - payload_bytes - ids_at)
+        ids, pos = [], 0
+        try:
+            for _ in range(count):
+                end = pos + 2 + _ID_LENGTH.unpack_from(section, pos)[0]
+                if end > len(section):
+                    break
+                ids.append(section[pos + 2 : end].decode("utf-8"))
+                pos = end
+        except struct.error:  # fewer than the two length bytes left
+            pass
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{source}: id is not valid UTF-8") from exc
+        if len(ids) < count:
+            raise TruncatedPayloadError(
+                f"{source}: truncated, the id record at byte {ids_at + pos} runs into the payload"
+            )
+        if pos != len(section):  # the file is longer than its ids and payload
+            raise TruncatedPayloadError(f"{source}: trailing data after byte {ids_at + pos + payload_bytes}")
         data = reader.array((count, dim))
         reader.finish()
     with naming_file(source):

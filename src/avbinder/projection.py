@@ -16,12 +16,21 @@ Parameters are stored in the head's dtype (float32 by default), and all
 forward, backward and optimizer arithmetic runs in that dtype: the input
 batch and the upstream gradient are cast to it once, and every weight is
 used as stored. A training forward keeps the activations that backward
-needs, so backward recomputes nothing. Adam updates each parameter and its
-moments in place, a cache-sized block at a time.
+needs, so backward recomputes nothing. An eval forward keeps nothing: it
+makes one allocation and computes the hidden rows in it in place, with the
+training forward's operations in the same order, so its bits are those of
+a temporary per step. Adam updates each parameter and its moments in
+place, a cache-sized block at a time.
+
+Training and the eval projection (:mod:`avbinder.binder`) share one
+two-thread helper: :func:`on_worker_and_caller` runs one task on the
+worker thread that :func:`worker_thread` opens and another on the caller's.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, replace
 
@@ -171,35 +180,58 @@ def head_forward(
     before anything changes. Eval mode returns no cache and takes no
     uniforms."""
     x = as_batch(head, x)
-    if training and head.dropout_p > 0.0:
+    if not training:
+        return _eval_forward(head, x), None
+    if head.dropout_p > 0.0:
         shape = None if uniforms is None else uniforms.shape
         if shape != (len(x), head.d_hid):
             raise ValueError(f"dropout uniforms of shape {shape}, want {(len(x), head.d_hid)}")
 
     pre_bn = x @ head.w1 + head.b1
-
-    if training:
-        batch_mean = pre_bn.mean(axis=0)
-        batch_var = pre_bn.var(axis=0)  # biased, divisor N
-        mom = head.bn_momentum
-        head.bn_running_mean[...] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
-        head.bn_running_var[...] = (1.0 - mom) * head.bn_running_var + mom * batch_var
-    else:
-        batch_mean = head.bn_running_mean
-        batch_var = head.bn_running_var
+    batch_mean = pre_bn.mean(axis=0)
+    batch_var = pre_bn.var(axis=0)  # biased, divisor N
+    mom = head.bn_momentum
+    head.bn_running_mean[...] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
+    head.bn_running_var[...] = (1.0 - mom) * head.bn_running_var + mom * batch_var
     x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
 
     z = head.bn_gamma * x_hat + head.bn_beta
-    gate = z > 0  # bool unless dropout scales it: eval allocates one byte per unit
-    if training and head.dropout_p > 0.0:
+    gate = z > 0
+    if head.dropout_p > 0.0:
         keep = uniforms >= head.dropout_p
         gate = (gate & keep) * head.dtype.type(1.0 / (1.0 - head.dropout_p))
     dropped = z * gate
 
     y = dropped @ head.w2 + head.b2
-    if not training:
-        return y, None
     return y, ForwardCache(x=x, x_hat=x_hat, batch_var=batch_var, gate=gate, dropped=dropped)
+
+
+def _eval_forward(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
+    """The eval-mode forward of a checked batch, computed in one allocation.
+
+    The buffer holds three views: the hidden activations, their bool ReLU
+    gate and the output, which is returned. The hidden view takes each step
+    in place, with the operations and the order of the training forward, so
+    every bit is the same as from separate temporaries."""
+    n, d_hid, size = len(x), head.d_hid, head.dtype.itemsize
+    hidden_end = n * d_hid * size
+    out_end = hidden_end + n * head.d_out * size
+    buf = np.empty(out_end + n * d_hid, np.uint8)
+    h = buf[:hidden_end].view(head.dtype).reshape(n, d_hid)
+    y = buf[hidden_end:out_end].view(head.dtype).reshape(n, head.d_out)
+    gate = buf[out_end:].view(np.bool_).reshape(n, d_hid)
+
+    np.matmul(x, head.w1, out=h)
+    h += head.b1
+    h -= head.bn_running_mean
+    h /= np.sqrt(head.bn_running_var + head.bn_eps)
+    h *= head.bn_gamma
+    h += head.bn_beta
+    np.greater(h, 0, out=gate)
+    h *= gate
+    np.matmul(h, head.w2, out=y)
+    y += head.b2
+    return y
 
 
 def head_backward(
@@ -330,3 +362,52 @@ def apply_update(
 def _adam_scratch(size: int, dtype) -> np.ndarray:
     """The two scratch rows of :func:`adam_step` for arrays of up to ``size`` elements."""
     return np.empty((2, min(size, _ADAM_BLOCK)), dtype)
+
+
+_WORKER: contextvars.ContextVar = contextvars.ContextVar("worker_thread", default=None)
+
+
+@contextlib.contextmanager
+def worker_thread():
+    """Open a one-thread pool for :func:`on_worker_and_caller`'s first
+    tasks; leaving the ``with`` block joins its thread, also on an error.
+
+    ``train`` holds one for its whole run, and ``eval`` and ``retrieve``
+    one for both their projections. A thread per task pair costs more:
+    OpenBLAS sets up each new calling thread's buffers, and with more than
+    one BLAS thread two new callers at once slowed a step about twofold.
+    The pool starts its thread at the first task, so a command whose
+    projections are single blocks starts none.
+    """
+    # imported here, not at the top: concurrent.futures loads logging (about
+    # 7 ms), and `import avbinder.cli` loads neither
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        token = _WORKER.set(pool)
+        try:
+            yield
+        finally:
+            _WORKER.reset(token)
+
+
+def on_worker_and_caller(worker_task, caller_task):
+    """``(worker_task(), caller_task())``, the first run on the open
+    :func:`worker_thread`, or on one opened and joined for this call, and
+    the second on this thread.
+
+    The worker's task runs in a copy of this thread's context, so numpy's
+    ``errstate`` holds for both tasks. This returns or raises once both
+    tasks have ended, or on an interrupt; if both raise, the worker task's
+    exception propagates, with the caller task's as its ``__context__``.
+    """
+    pool = _WORKER.get()
+    if pool is None:
+        with worker_thread():
+            return on_worker_and_caller(worker_task, caller_task)
+    future = pool.submit(contextvars.copy_context().run, worker_task)
+    try:
+        caller = caller_task()
+    finally:  # an interrupt during this wait leaves it to the pool's join
+        worker = future.result()
+    return worker, caller

@@ -6,8 +6,10 @@ contrastive loss, backpropagates exactly and Adam-updates both heads. The
 heads compute in their own dtype; normalization, scores and loss run in
 float64. The two heads share nothing but the scores, so their forwards run
 at once, the video head's on a second thread, and so do their backwards and
-their Adam updates. The second thread is the one worker of a standard
-``ThreadPoolExecutor``, which serves a whole ``train`` run.
+their Adam updates. The second thread is the one worker that
+:func:`avbinder.projection.worker_thread` opens, which serves a whole
+``train`` run, the held-out evals' projections included; each task pair
+goes through :func:`avbinder.projection.on_worker_and_caller`.
 Normalization, scores and loss run on the caller's thread, and the dropout
 uniforms are drawn there before either forward, so the threads change no
 bit and no draw. The final partial batch of an epoch is dropped (batch
@@ -43,8 +45,6 @@ checked through one small buffer and then dropped.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import json
 import math
 import struct
@@ -77,6 +77,8 @@ from .projection import (
     dropout_uniforms,
     head_backward,
     head_forward,
+    on_worker_and_caller,
+    worker_thread,
 )
 from .seeding import spawn_rng
 
@@ -99,6 +101,9 @@ class TrainConfig:
     eval_every: int = 0  # epochs between eval callbacks; 0 disables
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "epochs", "eval_every"):
+            if type(getattr(self, name)) is not int:  # a float would reach range() or the epoch test
+                raise ValueError(f"{name} must be an integer")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 1:
@@ -137,52 +142,6 @@ class TrainState:
         )
 
 
-_VIDEO_WORKER: contextvars.ContextVar = contextvars.ContextVar("video_worker", default=None)
-
-
-@contextlib.contextmanager
-def _video_worker():
-    """Open a one-thread pool for :func:`_on_two_threads`'s video tasks;
-    leaving the ``with`` block joins its thread, also on an error.
-
-    ``train`` holds one for its whole run. A thread per task pair costs
-    more: OpenBLAS sets up each new calling thread's buffers, and with more
-    than one BLAS thread two new callers at once slowed a step about twofold.
-    """
-    # imported here, not at the top: concurrent.futures loads logging (about
-    # 7 ms), and `import avbinder.cli` loads neither
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        token = _VIDEO_WORKER.set(pool)
-        try:
-            yield
-        finally:
-            _VIDEO_WORKER.reset(token)
-
-
-def _on_two_threads(video_task, audio_task):
-    """``(video_task(), audio_task())``, the video task run on the open
-    :func:`_video_worker`'s thread, or on one opened and joined for this
-    call, and the audio task on this one.
-
-    The video task runs in a copy of this thread's context, so numpy's
-    ``errstate`` holds for both tasks. This returns or raises once both
-    tasks have ended, or on an interrupt; if both raise, the video task's
-    exception propagates, with the audio task's as its ``__context__``.
-    """
-    pool = _VIDEO_WORKER.get()
-    if pool is None:
-        with _video_worker():
-            return _on_two_threads(video_task, audio_task)
-    future = pool.submit(contextvars.copy_context().run, video_task)
-    try:
-        audio = audio_task()
-    finally:  # an interrupt during this wait leaves it to the pool's join
-        video = future.result()
-    return video, audio
-
-
 def contrastive_loss_and_grads(
     model: BindModel,
     xv: np.ndarray,
@@ -200,7 +159,7 @@ def contrastive_loss_and_grads(
     xv, xa = as_batch(video, xv), as_batch(audio, xa)
     uniforms_v = dropout_uniforms(video, len(xv), rng)
     uniforms_a = dropout_uniforms(audio, len(xa), rng)
-    (yv, cache_v), (ya, cache_a) = _on_two_threads(
+    (yv, cache_v), (ya, cache_a) = on_worker_and_caller(
         partial(head_forward, video, xv, training=True, uniforms=uniforms_v),
         partial(head_forward, audio, xa, training=True, uniforms=uniforms_a),
     )
@@ -212,7 +171,7 @@ def contrastive_loss_and_grads(
     g_scores = info_nce_backward(scores, model.temperature)
     d_yv = normalize_backward(yv, g_scores @ v)
     d_ya = normalize_backward(ya, g_scores.T @ u)
-    grads_v, grads_a = _on_two_threads(
+    grads_v, grads_a = on_worker_and_caller(
         partial(head_backward, video, cache_v, d_yv),
         partial(head_backward, audio, cache_a, d_ya),
     )
@@ -244,7 +203,7 @@ def train_step(
                 f"training diverged at step {state.step + 1}: loss={loss!r}"
             )
         state.step += 1
-        _on_two_threads(
+        on_worker_and_caller(
             partial(apply_update, model.video_head, grads_v, state.video_opt, state.step, lr),
             partial(apply_update, model.audio_head, grads_a, state.audio_opt, state.step, lr),
         )
@@ -281,7 +240,7 @@ def train(
     steps_per_epoch = dataset.count // cfg.batch_size
     xv_all = dataset.video.data
     xa_all = dataset.audio.data
-    with _video_worker():  # every step's video-head tasks run on this one thread
+    with worker_thread():  # every step's video-head tasks run on this one thread
         for epoch in range(1, cfg.epochs + 1):
             if cfg.shuffle:
                 order = rng_shuffle.permutation(dataset.count)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -263,6 +265,64 @@ class TestEvalProjection:
         y = project_audio(model, x)
         assert shapes == [((256, 16), False)] * 3
         assert y.shape == (600, 4) and y.dtype == np.float32
+
+    @pytest.mark.parametrize("n, on_worker", [(256, 0), (513, 1), (1000, 2)])
+    def test_the_first_half_of_the_blocks_runs_on_the_worker(self, model_and_rows, monkeypatch, n, on_worker):
+        model, x, _ = model_and_rows
+        caller, threads = threading.get_ident(), {}
+        real = binder.head_forward
+
+        def spy(head, block, training):
+            threads[block[0].tobytes()] = threading.get_ident()
+            return real(head, block, training)
+
+        monkeypatch.setattr(binder, "head_forward", spy)
+        before = threading.active_count()
+        project_audio(model, x[:n])
+        ran_here = [threads[x[start].tobytes()] == caller for start in range(0, n, 256)]
+        assert ran_here == [False] * on_worker + [True] * (len(ran_here) - on_worker)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_block_that_fails_on_either_thread_raises_to_the_caller(self, model_and_rows, monkeypatch, failing):
+        model, x, _ = model_and_rows
+        caller = threading.get_ident()
+        real = binder.head_forward
+
+        def forward(head, block, training):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise ArithmeticError(failing)
+            return real(head, block, training)
+
+        monkeypatch.setattr(binder, "head_forward", forward)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=failing):
+            project_audio(model, x[:600])
+        assert threading.active_count() == before
+
+    def test_callers_at_once_each_get_their_own_rows(self, model_and_rows):
+        # three callers, each with its own worker: more threads than cores
+        model, x, _ = model_and_rows
+        inputs = [x[k * 100 : k * 100 + 700] for k in range(3)]
+        want = [project_audio(model, rows).tobytes() for rows in inputs]
+        got = [[] for _ in inputs]
+
+        def caller(k):
+            for _ in range(5):
+                got[k].append(project_audio(model, inputs[k]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[blob] * 5 for blob in want]
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
     def test_audio_rows_match_a_forward_per_padded_block(self, model_and_rows, n):

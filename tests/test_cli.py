@@ -1,13 +1,16 @@
 import json
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import make_clip
 
+import avbinder
 from avbinder import borders, pnm
 from avbinder.binder import BindModel
 from avbinder.cli import run_cli
@@ -678,6 +681,36 @@ class TestReproducibility:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    def test_eval_and_retrieve_print_the_same_bytes_under_one_or_two_blas_threads(self, tmp_path, capsys):
+        # 600 rows make three blocks, so the worker thread projects one while
+        # this one projects two; 1024-d rows make every GEMM large enough for
+        # BLAS to split it
+        model = BindModel(video_head=init_head(1, 1024, 512, 256), audio_head=init_head(2, 1024, 512, 256))
+        save_checkpoint(model, TrainState.for_model(model), tmp_path / "m.mvbm")
+        rng = np.random.default_rng(12)
+        ids = tuple(f"p{i:03d}" for i in range(600))
+        for side in ("video", "audio"):
+            save_embeddings(EmbeddingMatrix(ids, rng.standard_normal((600, 1024)).astype(np.float32)),
+                            tmp_path / f"{side}.mvbe")
+        files = ["--checkpoint", str(tmp_path / "m.mvbm")]
+        argvs = [
+            ["eval", *files, "--video", str(tmp_path / "video.mvbe"), "--audio", str(tmp_path / "audio.mvbe")],
+            ["retrieve", *files, "--queries", str(tmp_path / "video.mvbe"),
+             "--candidates", str(tmp_path / "audio.mvbe"), "--k", "5"],
+        ]
+        src = str(Path(avbinder.__file__).resolve().parents[1])
+        for argv in argvs:
+            outs = []
+            for threads in ("1", "2"):
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+                done = subprocess.run([sys.executable, "-m", "avbinder", *argv], env=env,
+                                      capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+                outs.append(done.stdout)
+            code, here, _ = run(argv, capsys)
+            assert code == 0 and outs[0].count("\n") >= 3
+            assert outs[0] == outs[1] == here
 
 
 class TestNoShuffle:

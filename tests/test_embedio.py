@@ -97,6 +97,34 @@ class TestBinaryFormat:
         with pytest.raises(TruncatedPayloadError):
             load_embeddings(path)
 
+    def test_id_length_running_into_the_payload_is_truncated(self, tmp_path):
+        m = random_matrix(n=3, dim=4)
+        path = tmp_path / "m.mvbe"
+        save_embeddings(m, path)
+        blob = bytearray(path.read_bytes())
+        last = 20 + 2 * (2 + 8)  # the third record, after two "clip-00X" ids
+        blob[last : last + 2] = struct.pack("<H", 8 + 5)  # 5 bytes past the last id
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TruncatedPayloadError, match=rf"m\.mvbe: truncated, the id record at byte {last} runs"):
+            load_embeddings(path)
+
+    def test_id_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "m.mvbe"
+        save_embeddings(random_matrix(n=2, dim=3), path)
+        blob = bytearray(path.read_bytes())
+        blob[20 + 2] = 0xFF  # the first id's first byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=r"m\.mvbe: id is not valid UTF-8"):
+            load_embeddings(path)
+
+    def test_trailing_byte_names_the_files_end(self, tmp_path):
+        path = tmp_path / "m.mvbe"
+        save_embeddings(random_matrix(n=2, dim=3), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TruncatedPayloadError, match=rf"m\.mvbe: trailing data after byte {size}$"):
+            load_embeddings(path)
+
     def test_duplicate_id(self, tmp_path):
         m = random_matrix(n=2, dim=3)
         path = tmp_path / "m.mvbe"

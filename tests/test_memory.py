@@ -22,7 +22,7 @@ from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
 from avbinder.kernels import hist256
 from avbinder.pnm import read_image, write_image
-from avbinder.projection import HEAD_BLOCKS, adam_step, init_head
+from avbinder.projection import HEAD_BLOCKS, adam_step, head_forward, init_head
 from avbinder.retrieval import build_index, retrieve_topk
 from avbinder.training import TrainState, load_checkpoint, save_checkpoint
 
@@ -227,6 +227,16 @@ def test_read_image_peaks_near_the_raster(tmp_path):
 @pytest.fixture(scope="module")
 def model():
     return BindModel(video_head=init_head(1, 1024, 512, 256), audio_head=init_head(2, 1024, 512, 256))
+
+
+def test_eval_forward_of_a_block_holds_one_buffer(model):
+    x = np.random.default_rng(1).standard_normal((256, 1024)).astype(np.float32)
+    (y, cache), peak = traced_peak(partial(head_forward, training=False), model.audio_head, x)
+    assert y.shape == (256, 256) and cache is None
+    # a temporary per step (the hidden rows, each batch-norm step, the gate,
+    # the gated rows and the output) took 2.72 MiB; one buffer holds the
+    # hidden rows, their bool gate and the output
+    assert peak <= MB, peak
 
 
 def test_projection_temporaries_do_not_grow_with_rows(model):

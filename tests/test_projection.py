@@ -130,6 +130,23 @@ class TestForward:
         y2, _ = head_forward(dataclasses.replace(h, dropout_p=0.0), x, training=False)
         assert np.array_equal(y1, y2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_matches_the_formula_with_a_temporary_per_step_bit_for_bit(self, dtype):
+        # the eval forward computes in place; every step must keep the bits
+        # of the formula, so the batch-norm state is far from identity
+        rng = np.random.default_rng(2)
+        h = init_head(5, 64, 48, 16, dtype=dtype)
+        for name in ("b1", "bn_gamma", "bn_beta", "bn_running_mean", "b2"):
+            getattr(h, name)[...] = rng.standard_normal(48 if name != "b2" else 16)
+        h.bn_running_var[...] = rng.uniform(0.1, 3.0, 48)
+        x = rng.standard_normal((256, 64)).astype(dtype)
+        x_hat = (x @ h.w1 + h.b1 - h.bn_running_mean) / np.sqrt(h.bn_running_var + h.bn_eps)
+        z = h.bn_gamma * x_hat + h.bn_beta
+        want = (z * (z > 0)) @ h.w2 + h.b2
+        y, cache = head_forward(h, x, training=False)
+        assert cache is None and y.dtype == dtype
+        assert y.tobytes() == want.tobytes()
+
     def test_shape_and_finiteness_errors(self):
         h = init_head(5, 16, 8, 4)
         with pytest.raises(ValueError):

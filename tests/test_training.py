@@ -25,7 +25,7 @@ from avbinder.errors import (
 from avbinder.projection import HEAD_BLOCKS, PARAM_FIELDS, init_head
 from avbinder.retrieval import recall_at_k
 from avbinder.seeding import derive_seed
-from avbinder import training
+from avbinder import projection, training
 from avbinder.training import (
     TrainConfig,
     TrainState,
@@ -213,11 +213,11 @@ class TestTwoThreads:
             raise KeyError("audio")
 
         with pytest.raises(KeyError, match="video") as excinfo:
-            training._on_two_threads(video, audio)
+            projection.on_worker_and_caller(video, audio)
         assert str(excinfo.value.__context__) == "'audio'"
 
     def test_results_come_back_video_first(self):
-        assert training._on_two_threads(lambda: "video", lambda: "audio") == ("video", "audio")
+        assert projection.on_worker_and_caller(lambda: "video", lambda: "audio") == ("video", "audio")
 
     def test_audio_failure_changes_nothing(self, stepped):
         model, state, xv, xa = stepped
@@ -297,8 +297,8 @@ class TestTwoThreads:
     def test_pairs_stay_paired_under_contention(self):
         # three callers, each with its own second thread: more threads than cores
         def caller(k, out):
-            with training._video_worker():
-                out.extend(training._on_two_threads(lambda i=i: (k, i), lambda i=i: (k, -i)) for i in range(500))
+            with projection.worker_thread():
+                out.extend(projection.on_worker_and_caller(lambda i=i: (k, i), lambda i=i: (k, -i)) for i in range(500))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -321,11 +321,11 @@ class TestTwoThreads:
 
         before = threading.active_count()
         with pytest.raises(_Interrupt):
-            training._on_two_threads(video, lambda: "audio")
-        with training._video_worker():  # an open worker outlives the exception
+            projection.on_worker_and_caller(video, lambda: "audio")
+        with projection.worker_thread():  # an open worker outlives the exception
             with pytest.raises(_Interrupt):
-                training._on_two_threads(video, lambda: "audio")
-            assert training._on_two_threads(lambda: "video", lambda: "audio") == ("video", "audio")
+                projection.on_worker_and_caller(video, lambda: "audio")
+            assert projection.on_worker_and_caller(lambda: "video", lambda: "audio") == ("video", "audio")
         assert threading.active_count() == before
 
     def test_importing_the_cli_loads_no_executor(self):
@@ -341,7 +341,7 @@ class TestTwoThreads:
         finished = []
         before = threading.active_count()
         with pytest.raises(KeyError):
-            training._on_two_threads(lambda: time.sleep(0.2) or finished.append(True), lambda: {}["audio"])
+            projection.on_worker_and_caller(lambda: time.sleep(0.2) or finished.append(True), lambda: {}["audio"])
         assert finished == [True] and threading.active_count() == before
 
     def test_an_interrupt_during_the_join_waits_for_the_second_thread(self):
@@ -354,7 +354,7 @@ class TestTwoThreads:
         signal.setitimer(signal.ITIMER_REAL, 0.05)  # while the caller joins
         try:
             with pytest.raises(_Interrupt):
-                training._on_two_threads(lambda: time.sleep(0.3) or finished.append(True), lambda: None)
+                projection.on_worker_and_caller(lambda: time.sleep(0.3) or finished.append(True), lambda: None)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -429,6 +429,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=seed)
         TrainConfig(seed=2**64 - 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 4.5), ("batch_size", 4.0), ("epochs", 1.5), ("eval_every", 0.5), ("eval_every", True),
+    ])
+    def test_config_rejects_a_non_integer_count(self, field, value):
+        # batch_size 4.5 and epochs 1.5 failed in range(); eval_every 0.5 evaluated every epoch
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_batch_larger_than_dataset_rejected(self):
         data = gen_synthetic(8, 4, 0.1, seed=2, dim=64)
