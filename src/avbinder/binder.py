@@ -36,7 +36,7 @@ the second half, which holds the padded last block, on the caller's. A
 single block runs on the caller's thread alone. No bit moves: each block
 keeps its rows, its position in the file and its GEMM shape, each thread
 writes only its own rows of the output, and a block's result does not
-depend on which thread computes it. Each thread holds one block's buffer
+depend on which thread computes it. Each thread holds one block's arrays
 at a time, so two blocks in flight hold less than one block held with a
 temporary per step.
 """
@@ -181,7 +181,7 @@ def _project(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
                 padded[: len(block)] = block
                 block = padded
             # through the module global, so a wrapped head_forward sees each
-            # block; its buffer is dropped once copied, so a thread holds one
+            # block; its arrays go once copied, so a thread holds one block's
             y[start : start + rows] = head_forward(head, block, training=False)[0][: n - start]
 
     starts = range(0, n, rows)

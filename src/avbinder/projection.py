@@ -15,12 +15,14 @@ including the dependence of the batch mean/variance on the inputs.
 Parameters are stored in the head's dtype (float32 by default), and all
 forward, backward and optimizer arithmetic runs in that dtype: the input
 batch and the upstream gradient are cast to it once, and every weight is
-used as stored. A training forward keeps the activations that backward
-needs, so backward recomputes nothing. An eval forward keeps nothing: it
-makes one allocation and computes the hidden rows in it in place, with the
-training forward's operations in the same order, so its bits are those of
-a temporary per step. Adam updates each parameter and its moments in
-place, a cache-sized block at a time.
+used as stored. One forward serves both modes. It allocates the hidden
+rows, their bool ReLU gate and the output up front and takes each step in
+place, in the order of the formula, so its bits are those of a temporary
+per step. Training copies the normalized rows once, to scale them, and
+keeps them with the activations that backward needs, so backward
+recomputes nothing; eval scales them in place and keeps nothing. Adam
+updates each parameter and its moments in place, a cache-sized block at a
+time.
 
 Training and the eval projection (:mod:`avbinder.binder`) share one
 two-thread helper: :func:`on_worker_and_caller` runs one task on the
@@ -35,6 +37,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .embedio import _all_finite
 
 # The head's arrays in checkpoint order, the trainable subset that Adam
 # updates, and the scalar hyperparameters (their defaults are the fields').
@@ -82,7 +86,7 @@ class ProjectionHead:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         for name in HEAD_BLOCKS:
-            if not np.isfinite(getattr(self, name)).all():
+            if not _all_finite(getattr(self, name)):
                 raise ValueError(f"non-finite values in {name}")
         if (self.bn_running_var < 0).any():
             raise ValueError("bn_running_var must be non-negative")
@@ -153,7 +157,7 @@ def as_batch(head: ProjectionHead, x) -> np.ndarray:
         raise ValueError(f"expected batch of shape (N, {head.d_in}), got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("batch must contain at least one row")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError("non-finite input batch")
     return x
 
@@ -180,58 +184,39 @@ def head_forward(
     before anything changes. Eval mode returns no cache and takes no
     uniforms."""
     x = as_batch(head, x)
-    if not training:
-        return _eval_forward(head, x), None
-    if head.dropout_p > 0.0:
+    dropout = training and head.dropout_p > 0.0
+    if dropout:
         shape = None if uniforms is None else uniforms.shape
         if shape != (len(x), head.d_hid):
             raise ValueError(f"dropout uniforms of shape {shape}, want {(len(x), head.d_hid)}")
 
-    pre_bn = x @ head.w1 + head.b1
-    batch_mean = pre_bn.mean(axis=0)
-    batch_var = pre_bn.var(axis=0)  # biased, divisor N
-    mom = head.bn_momentum
-    head.bn_running_mean[...] = (1.0 - mom) * head.bn_running_mean + mom * batch_mean
-    head.bn_running_var[...] = (1.0 - mom) * head.bn_running_var + mom * batch_var
-    x_hat = (pre_bn - batch_mean) / np.sqrt(batch_var + head.bn_eps)
-
-    z = head.bn_gamma * x_hat + head.bn_beta
-    gate = z > 0
-    if head.dropout_p > 0.0:
-        keep = uniforms >= head.dropout_p
-        gate = (gate & keep) * head.dtype.type(1.0 / (1.0 - head.dropout_p))
-    dropped = z * gate
-
-    y = dropped @ head.w2 + head.b2
-    return y, ForwardCache(x=x, x_hat=x_hat, batch_var=batch_var, gate=gate, dropped=dropped)
-
-
-def _eval_forward(head: ProjectionHead, x: np.ndarray) -> np.ndarray:
-    """The eval-mode forward of a checked batch, computed in one allocation.
-
-    The buffer holds three views: the hidden activations, their bool ReLU
-    gate and the output, which is returned. The hidden view takes each step
-    in place, with the operations and the order of the training forward, so
-    every bit is the same as from separate temporaries."""
-    n, d_hid, size = len(x), head.d_hid, head.dtype.itemsize
-    hidden_end = n * d_hid * size
-    out_end = hidden_end + n * head.d_out * size
-    buf = np.empty(out_end + n * d_hid, np.uint8)
-    h = buf[:hidden_end].view(head.dtype).reshape(n, d_hid)
-    y = buf[hidden_end:out_end].view(head.dtype).reshape(n, head.d_out)
-    gate = buf[out_end:].view(np.bool_).reshape(n, d_hid)
-
+    n = len(x)
+    h = np.empty((n, head.d_hid), head.dtype)
+    gate = np.empty((n, head.d_hid), np.bool_)
+    y = np.empty((n, head.d_out), head.dtype)
     np.matmul(x, head.w1, out=h)
     h += head.b1
-    h -= head.bn_running_mean
-    h /= np.sqrt(head.bn_running_var + head.bn_eps)
-    h *= head.bn_gamma
-    h += head.bn_beta
-    np.greater(h, 0, out=gate)
-    h *= gate
-    np.matmul(h, head.w2, out=y)
+    if training:
+        mean = h.mean(axis=0)
+        var = h.var(axis=0)  # biased, divisor N
+        mom = head.bn_momentum
+        head.bn_running_mean[...] = (1.0 - mom) * head.bn_running_mean + mom * mean
+        head.bn_running_var[...] = (1.0 - mom) * head.bn_running_var + mom * var
+    else:
+        mean, var = head.bn_running_mean, head.bn_running_var
+    h -= mean
+    h /= np.sqrt(var + head.bn_eps)
+    # training keeps h as x_hat for backward; eval scales it in place
+    z = h * head.bn_gamma if training else np.multiply(h, head.bn_gamma, out=h)
+    z += head.bn_beta
+    np.greater(z, 0, out=gate)
+    if dropout:
+        gate &= uniforms >= head.dropout_p
+        gate = gate * head.dtype.type(1.0 / (1.0 - head.dropout_p))
+    z *= gate
+    np.matmul(z, head.w2, out=y)
     y += head.b2
-    return y
+    return y, ForwardCache(x=x, x_hat=h, batch_var=var, gate=gate, dropped=z) if training else None
 
 
 def head_backward(
@@ -285,7 +270,7 @@ class AdamState:
     def __post_init__(self) -> None:
         for kind in ("m", "v"):
             for name, moment in getattr(self, kind).items():
-                if not np.isfinite(moment).all():
+                if not _all_finite(moment):
                     raise ValueError(f"non-finite values in Adam moment {kind}[{name!r}]")
         if any((moment < 0).any() for moment in self.v.values()):
             raise ValueError("Adam second moments must be non-negative")

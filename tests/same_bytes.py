@@ -16,15 +16,20 @@ child process, and the commands below run in this process on the
   are hashed.
 
 The SHA-256 of each output, with each command's exit code, goes to the
-``--out`` JSON. ``--check FILE`` reruns the workloads and seeds that FILE
-records, names every output that differs, and exits 1 if any does. Pytest
-does not collect this file, and it changes nothing under ``perfbench/``.
+``--out`` JSON under ``runs``, beside the name of the kernel numpy's
+bundled OpenBLAS ran (``openblas_kernel``; GEMM bits differ between
+kernels). ``--check FILE`` reruns the workloads and seeds that FILE
+records, names every output that differs, and exits 1 if any does; it
+exits 2, comparing nothing, when OpenBLAS runs another kernel than FILE
+records (``OPENBLAS_CORETYPE`` forces one). Pytest does not collect this
+file, and it changes nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -52,6 +57,20 @@ def parse_args() -> argparse.Namespace:
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def openblas_kernel() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS reports, or None without
+    that library. Call it once numpy has loaded, so the loaded library
+    answers."""
+    import numpy as np
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def run(av, argv: list[str]) -> tuple[int, str]:
@@ -126,15 +145,23 @@ def main() -> int:
     import avbinder.cli  # noqa: F401
     import workloads
 
+    kernel = openblas_kernel()
     if args.check:
-        want = json.loads(Path(args.check).read_text())
+        manifest = json.loads(Path(args.check).read_text())
+        if manifest["openblas_kernel"] != kernel:
+            print(f"same_bytes: {args.check} was recorded on the {manifest['openblas_kernel']} kernel, "
+                  f"OpenBLAS runs {kernel}; nothing compared", file=sys.stderr)
+            return 2
+        want = manifest["runs"]
         runs = [(key.split("/")[0], int(key.split("/")[1])) for key in want]
     else:
         runs = [(w, s) for w in HASHERS for s in getattr(args, w)]
     got = record(av, workloads, runs)
     if not args.check:
-        Path(args.out).write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-        print(f"same_bytes: wrote {sum(map(len, got.values()))} entries to {args.out}", file=sys.stderr)
+        manifest = {"openblas_kernel": kernel, "runs": got}
+        Path(args.out).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"same_bytes: wrote {sum(map(len, got.values()))} entries ({kernel} kernel) to {args.out}",
+              file=sys.stderr)
         return 0
     differences = [
         f"{run_key}: {label}: recorded {want[run_key].get(label)}, got {got[run_key].get(label)}"

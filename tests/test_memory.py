@@ -22,7 +22,7 @@ from avbinder.embedio import EmbeddingMatrix, load_embeddings, save_embeddings
 from avbinder.errors import TruncatedPayloadError
 from avbinder.kernels import hist256
 from avbinder.pnm import read_image, write_image
-from avbinder.projection import HEAD_BLOCKS, adam_step, head_forward, init_head
+from avbinder.projection import HEAD_BLOCKS, adam_step, dropout_uniforms, head_forward, init_head
 from avbinder.retrieval import build_index, retrieve_topk
 from avbinder.training import TrainState, load_checkpoint, save_checkpoint
 
@@ -201,7 +201,7 @@ def test_eval_only_load_peaks_near_the_heads(tmp_path, model):
     heads = sum(getattr(h, name).nbytes for h in (loaded.video_head, loaded.audio_head) for name in HEAD_BLOCKS)
     assert state is None
     # the moments, two thirds of the file, were read and kept as in the full
-    # load; now the 256 KiB buffer and the heads' finiteness masks remain
+    # load; now the 256 KiB buffer remains
     assert peak <= heads + MB, (peak, heads)
 
 
@@ -237,6 +237,19 @@ def test_eval_forward_of_a_block_holds_one_buffer(model):
     # the gated rows and the output) took 2.72 MiB; one buffer holds the
     # hidden rows, their bool gate and the output
     assert peak <= MB, peak
+
+
+def test_training_forward_holds_little_beyond_what_it_returns():
+    head = init_head(3, 1024, 512, 256, dropout_p=0.5)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((128, 1024)).astype(np.float32)
+    uniforms = dropout_uniforms(head, 128, rng)
+    (y, cache), peak = traced_peak(partial(head_forward, training=True, uniforms=uniforms), head, x)
+    assert cache.x is x
+    returned = y.nbytes + sum(a.nbytes for a in (cache.x_hat, cache.batch_var, cache.gate, cache.dropped))
+    # a new array per step (the hidden rows after each step, the bool masks,
+    # the output before its bias) held 740 KiB beyond the 898 KiB returned
+    assert peak - returned <= 256 * 1024, (peak, returned)
 
 
 def test_projection_temporaries_do_not_grow_with_rows(model):
