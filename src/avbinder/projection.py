@@ -6,11 +6,11 @@ Architecture, applied row-wise to a batch::
 
 Batch norm uses biased batch statistics (divisor N) in training and running
 statistics at evaluation; dropout is inverted (survivors scaled by 1/(1-p))
-so evaluation is the identity. ReLU and dropout together multiply the
-batch-norm output by one gate: the ReLU mask, which a training forward with
-dropout also multiplies by the keep mask and 1/(1-p). Backward multiplies
-the upstream gradient by the same gate. The backward pass is exact,
-including the dependence of the batch mean/variance on the inputs.
+so evaluation is the identity. ReLU and dropout multiply the batch-norm
+output by one bool gate, the ReLU mask; a training forward with dropout
+ANDs the keep mask into it and then scales by 1/(1-p). The exact backward
+pass applies the same gate and scale to the upstream gradient and includes
+the dependence of the batch mean/variance on the inputs.
 
 Parameters are stored in the head's dtype (float32 by default), and all
 forward, backward and optimizer arithmetic runs in that dtype: the input
@@ -118,7 +118,8 @@ class ForwardCache:
     x: np.ndarray
     x_hat: np.ndarray
     batch_var: np.ndarray
-    gate: np.ndarray  # d dropped / d z: bool ReLU mask, or with dropout (mask & keep) / (1-p)
+    gate: np.ndarray  # bool ReLU mask, with dropout ANDed with the keep mask
+    scale: np.floating  # 1/(1-p) in the head's dtype; d dropped / d z is gate * scale
     dropped: np.ndarray  # the activations fed to linear-2
 
 
@@ -212,11 +213,13 @@ def head_forward(
     np.greater(z, 0, out=gate)
     if dropout:
         gate &= uniforms >= head.dropout_p
-        gate = gate * head.dtype.type(1.0 / (1.0 - head.dropout_p))
     z *= gate
+    scale = head.dtype.type(1.0 / (1.0 - head.dropout_p))
+    if dropout:
+        z *= scale
     np.matmul(z, head.w2, out=y)
     y += head.b2
-    return y, ForwardCache(x=x, x_hat=h, batch_var=var, gate=gate, dropped=z) if training else None
+    return y, ForwardCache(x=x, x_hat=h, batch_var=var, gate=gate, scale=scale, dropped=z) if training else None
 
 
 def head_backward(
@@ -224,9 +227,8 @@ def head_backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of sum(loss) with respect to the head's parameters,
     keyed by ``PARAM_FIELDS``. The gradient reaches the batch-norm output
-    through the cached gate, the same ReLU-and-dropout factor the forward
-    pass applied. The input batch gets no gradient: the features it holds
-    are frozen.
+    through the cached gate and scale, the ReLU-and-dropout factor of the
+    forward pass. The input batch gets no gradient: its features are frozen.
 
     Reads ``bn_gamma``, ``bn_eps`` and ``w2`` from ``head``, so the head
     must not have been updated since the forward pass that filled
@@ -242,6 +244,7 @@ def head_backward(
     dw2 = cache.dropped.T @ dy
     d_dropped = dy @ head.w2.T
     dz = d_dropped * cache.gate
+    dz *= cache.scale
 
     dgamma = (dz * cache.x_hat).sum(axis=0)
     dbeta = dz.sum(axis=0)

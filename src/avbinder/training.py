@@ -4,15 +4,16 @@ Each step runs both heads forward in training mode on a paired batch,
 normalizes, scores all NxN cosine pairs with one GEMM, applies the symmetric
 contrastive loss, backpropagates exactly and Adam-updates both heads. The
 heads compute in their own dtype; normalization, scores and loss run in
-float64. The two heads share nothing but the scores, so their forwards run
-at once, the video head's on a second thread, and so do their backwards and
-their Adam updates. The second thread is the one worker that
-:func:`avbinder.projection.worker_thread` opens, which serves a whole
-``train`` run, the held-out evals' projections included; each task pair
-goes through :func:`avbinder.projection.on_worker_and_caller`.
-Normalization, scores and loss run on the caller's thread, and the dropout
-uniforms are drawn there before either forward, so the threads change no
-bit and no draw. The final partial batch of an epoch is dropped (batch
+float64. The heads share nothing but the scores, so a step is two task
+pairs through :func:`avbinder.projection.on_worker_and_caller`, the video
+head's task of each on the one worker thread ``train`` opens for its run
+(:func:`avbinder.projection.worker_thread`): the forwards, then each head's
+backward and Adam update as one task. Between them the caller's thread
+takes the loss and its gradient at each head's output and checks for
+divergence, so a diverging step runs no backward; a failed task of the
+second pair can leave the other head updated. The dropout uniforms are
+drawn on the caller's thread before either forward, so the threads change
+no bit and no draw. The final partial batch of an epoch is dropped (batch
 statistics and in-batch negatives degenerate on tiny remainders).
 
 Checkpoint format (little-endian)::
@@ -71,6 +72,7 @@ from .projection import (
     HEAD_HYPERPARAMS,
     PARAM_FIELDS,
     AdamState,
+    ForwardCache,
     ProjectionHead,
     apply_update,
     as_batch,
@@ -142,18 +144,15 @@ class TrainState:
         )
 
 
-def contrastive_loss_and_grads(
-    model: BindModel,
-    xv: np.ndarray,
-    xa: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[float, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Training-mode forward through both heads and the full exact backward.
+def contrastive_forward(
+    model: BindModel, xv: np.ndarray, xa: np.ndarray, rng: np.random.Generator
+) -> tuple[float, tuple[ForwardCache, np.ndarray], tuple[ForwardCache, np.ndarray]]:
+    """Training-mode forward through both heads, the loss, and its gradient
+    at each head's output: ``(loss, (cache_v, d_yv), (cache_a, d_ya))``.
 
     Both batches are checked before either head's running stats change. The
     dropout uniforms are drawn from ``rng``, the video head's first, before
-    the two forwards run on two threads; normalization, scores and loss run
-    on this thread, and then the two heads' backwards on two threads.
+    the two forwards run on two threads; the rest runs on this thread.
     """
     video, audio = model.video_head, model.audio_head
     xv, xa = as_batch(video, xv), as_batch(audio, xa)
@@ -167,15 +166,14 @@ def contrastive_loss_and_grads(
     v = l2_normalize_rows(ya)
     scores = u @ v.T
     loss = info_nce_loss(scores, model.temperature)
-
     g_scores = info_nce_backward(scores, model.temperature)
     d_yv = normalize_backward(yv, g_scores @ v)
     d_ya = normalize_backward(ya, g_scores.T @ u)
-    grads_v, grads_a = on_worker_and_caller(
-        partial(head_backward, video, cache_v, d_yv),
-        partial(head_backward, audio, cache_a, d_ya),
-    )
-    return loss, grads_v, grads_a
+    return loss, (cache_v, d_yv), (cache_a, d_ya)
+
+
+def _backward_and_update(head, cache, d_y, moments, t, lr) -> None:
+    apply_update(head, head_backward(head, cache, d_y), moments, t, lr)
 
 
 def train_step(
@@ -189,23 +187,22 @@ def train_step(
     """One optimization step on a paired batch; returns the pre-update loss.
 
     Batches that fail their checks raise ValueError before either head,
-    Adam state or the step count changes. The two heads' updates run on two
-    threads. Overflow and invalid values warn nothing: a loss they make
-    non-finite raises :class:`DivergenceError`."""
+    Adam state or the step count changes. Then two task pairs run: the
+    forwards, and each head's backward and Adam update; a failed task of
+    the second can leave the other head updated. Overflow and invalid values
+    warn nothing: a loss they make non-finite raises :class:`DivergenceError`."""
     if len(xv) != len(xa):
         raise ValueError("video/audio batches must have equal size")
     if len(xv) < 2:
         raise ValueError("training batches need at least 2 pairs (no negatives otherwise)")
     with np.errstate(over="ignore", invalid="ignore"):  # the video thread runs in a copy of this context
-        loss, grads_v, grads_a = contrastive_loss_and_grads(model, xv, xa, rng)
+        loss, video_side, audio_side = contrastive_forward(model, xv, xa, rng)
         if not np.isfinite(loss) or loss > LOSS_CEILING:
-            raise DivergenceError(
-                f"training diverged at step {state.step + 1}: loss={loss!r}"
-            )
+            raise DivergenceError(f"training diverged at step {state.step + 1}: loss={loss!r}")
         state.step += 1
         on_worker_and_caller(
-            partial(apply_update, model.video_head, grads_v, state.video_opt, state.step, lr),
-            partial(apply_update, model.audio_head, grads_a, state.audio_opt, state.step, lr),
+            partial(_backward_and_update, model.video_head, *video_side, state.video_opt, state.step, lr),
+            partial(_backward_and_update, model.audio_head, *audio_side, state.audio_opt, state.step, lr),
         )
     return loss
 

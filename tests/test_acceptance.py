@@ -12,7 +12,7 @@ from helpers import make_clip, otsu_exhaustive, projected_pairs, sobel_naive, to
 
 from avbinder.binder import BindModel, l2_normalize_rows, row_dots
 from avbinder.embedio import SplitSpec, load_embeddings, save_embeddings, split_dataset
-from avbinder.projection import PARAM_FIELDS, dropout_uniforms, init_head, head_forward
+from avbinder.projection import PARAM_FIELDS, dropout_uniforms, init_head, head_backward, head_forward
 from avbinder.retrieval import (
     DIRECTION_V2A,
     build_index,
@@ -26,7 +26,7 @@ from avbinder.seeding import derive_seed
 from avbinder.training import (
     TrainConfig,
     TrainState,
-    contrastive_loss_and_grads,
+    contrastive_forward,
     gen_synthetic,
     load_checkpoint,
     save_checkpoint,
@@ -66,14 +66,17 @@ def test_criterion_1_end_to_end_gradients():
         assert np.abs(head.bn_gamma * cache.x_hat + head.bn_beta).min() > 100 * step
 
     def loss_of(m):
-        value, _, _ = contrastive_loss_and_grads(
+        value, _, _ = contrastive_forward(
             deepcopy(m), xv, xa, np.random.default_rng(mask_seed)
         )
         return value
 
-    _, grads_v, grads_a = contrastive_loss_and_grads(
-        deepcopy(model), xv, xa, np.random.default_rng(mask_seed)
+    stepped = deepcopy(model)
+    _, (cache_v, d_yv), (cache_a, d_ya) = contrastive_forward(
+        stepped, xv, xa, np.random.default_rng(mask_seed)
     )
+    grads_v = head_backward(stepped.video_head, cache_v, d_yv)
+    grads_a = head_backward(stepped.audio_head, cache_a, d_ya)
     worst = 0.0
     for side, grads in (("video_head", grads_v), ("audio_head", grads_a)):
         for name in PARAM_FIELDS:

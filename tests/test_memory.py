@@ -229,13 +229,14 @@ def model():
     return BindModel(video_head=init_head(1, 1024, 512, 256), audio_head=init_head(2, 1024, 512, 256))
 
 
-def test_eval_forward_of_a_block_holds_one_buffer(model):
+def test_eval_forward_of_a_block_holds_its_hidden_rows_gate_and_output(model):
     x = np.random.default_rng(1).standard_normal((256, 1024)).astype(np.float32)
     (y, cache), peak = traced_peak(partial(head_forward, training=False), model.audio_head, x)
     assert y.shape == (256, 256) and cache is None
     # a temporary per step (the hidden rows, each batch-norm step, the gate,
-    # the gated rows and the output) took 2.72 MiB; one buffer holds the
-    # hidden rows, their bool gate and the output
+    # the gated rows and the output) took 2.72 MiB; the forward holds three
+    # arrays, allocated up front: the hidden rows, their bool gate and the
+    # output, 0.875 MiB in all
     assert peak <= MB, peak
 
 

@@ -183,7 +183,9 @@ class TestForward:
         assert drawn.tobytes() == np.random.default_rng(7).random((6, 8)).tobytes()
         _, cache = head_forward(h.copy(), x, training=True, uniforms=drawn)
         z = h.bn_gamma * cache.x_hat + h.bn_beta
-        assert cache.gate.tobytes() == (((z > 0) & (drawn >= 0.5)) * np.float32(2.0)).tobytes()
+        expected = ((z > 0) & (drawn >= 0.5)) * np.float32(2.0)
+        assert cache.gate.dtype == np.bool_
+        assert (cache.gate * cache.scale).tobytes() == expected.tobytes()
         before = h.copy()
         for uniforms in (None, drawn[:5]):  # no dropout source, or the wrong shape
             with pytest.raises(ValueError, match="uniforms of shape"):
@@ -226,7 +228,7 @@ class TestForward:
         assert row_error.max() < 1e-6
 
     def test_inverted_dropout_is_unbiased(self):
-        # where the ReLU passes, the gate is 0 or 1/(1-p), so its mean is 1
+        # where the ReLU passes, gate * scale is 0 or 1/(1-p), so its mean is 1
         p = 0.25
         head = init_head(8, 16, 8, 4, dtype=np.float64, dropout_p=p)
         x = np.random.default_rng(8).standard_normal((16, 16))
@@ -236,9 +238,9 @@ class TestForward:
             uniforms = dropout_uniforms(head, len(x), rng)
             _, cache = head_forward(head, x, training=True, uniforms=uniforms)
             z = head.bn_gamma * cache.x_hat + head.bn_beta
-            passed.append(cache.gate[z > 0])
+            passed.append((cache.gate * cache.scale)[z > 0])
         passed = np.concatenate(passed)
-        # per-unit sd of the gate is sqrt(p/(1-p))
+        # per-unit sd of gate * scale is sqrt(p/(1-p))
         three_sigma = 3.0 * math.sqrt(p / (1.0 - p) / passed.size)
         assert abs(passed.mean() - 1.0) <= three_sigma
 

@@ -229,16 +229,23 @@ class TestTwoThreads:
         assert model_bytes(model, state) == before
         assert rng.random() == np.random.default_rng(1).random()  # no dropout drawn
 
-    @pytest.mark.parametrize("fail", [None, "video forward", "audio forward", "divergence", "audio update"])
+    @pytest.mark.parametrize(
+        "fail", [None, "video forward", "audio forward", "divergence", "video backward", "audio update"]
+    )
     def test_no_thread_outlives_a_train_step(self, stepped, monkeypatch, fail):
         model, state, xv, xa = stepped
         failing_head = {"video forward": model.video_head, "audio forward": model.audio_head}.get(fail)
-        real_forward, real_update = training.head_forward, training.apply_update
+        real_forward, real_backward, real_update = training.head_forward, training.head_backward, training.apply_update
 
         def forward(head, *args, **kwargs):
             if head is failing_head:
                 raise ArithmeticError(fail)
             return real_forward(head, *args, **kwargs)
+
+        def backward(head, *args):
+            if fail == "video backward" and head is model.video_head:
+                raise ArithmeticError(fail)
+            return real_backward(head, *args)
 
         def update(head, *args):
             if fail == "audio update" and head is model.audio_head:
@@ -246,6 +253,7 @@ class TestTwoThreads:
             return real_update(head, *args)
 
         monkeypatch.setattr(training, "head_forward", forward)
+        monkeypatch.setattr(training, "head_backward", backward)
         monkeypatch.setattr(training, "apply_update", update)
         if fail == "divergence":
             monkeypatch.setattr(training, "info_nce_loss", lambda s, tau: float("nan"))
@@ -256,6 +264,64 @@ class TestTwoThreads:
             with pytest.raises((ArithmeticError, DivergenceError)):
                 train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
         assert threading.active_count() == before
+
+    def test_a_step_is_two_task_pairs(self, stepped, monkeypatch):
+        model, state, xv, xa = stepped
+        pairs = []
+        real_pair = training.on_worker_and_caller
+
+        def pair(worker_task, caller_task):
+            pairs.append(worker_task)
+            return real_pair(worker_task, caller_task)
+
+        monkeypatch.setattr(training, "on_worker_and_caller", pair)
+        train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        assert len(pairs) == 2
+
+    def test_a_diverging_step_runs_no_backward_and_no_update(self, stepped, monkeypatch):
+        model, state, xv, xa = stepped
+        calls = []
+        monkeypatch.setattr(training, "head_backward", lambda head, *args: calls.append("backward"))
+        monkeypatch.setattr(training, "apply_update", lambda head, *args: calls.append("update"))
+        monkeypatch.setattr(training, "info_nce_loss", lambda s, tau: float("nan"))
+        with pytest.raises(DivergenceError, match="step 2"):
+            train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        assert calls == [] and state.step == 1
+
+    def test_the_video_heads_step_runs_on_the_worker_in_two_tasks(self, stepped, monkeypatch):
+        # forward in one worker task, then backward and update in the next;
+        # the video head's gradients never reach the caller's thread
+        model, state, xv, xa = stepped
+        events = []
+        real_pair = training.on_worker_and_caller
+
+        def pair(worker_task, caller_task):
+            def task():
+                events.append(("task", threading.get_ident()))
+                return worker_task()
+
+            return real_pair(task, caller_task)
+
+        def recorded(name):
+            real = getattr(training, name)
+
+            def call(head, *args, **kwargs):
+                if head is model.video_head:
+                    events.append((name, threading.get_ident()))
+                return real(head, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(training, "on_worker_and_caller", pair)
+        for name in ("head_forward", "head_backward", "apply_update"):
+            monkeypatch.setattr(training, name, recorded(name))
+        with projection.worker_thread():
+            for _ in range(2):
+                train_step(model, xv, xa, state, 1e-2, np.random.default_rng(1))
+        step = ["task", "head_forward", "task", "head_backward", "apply_update"]
+        assert [name for name, _ in events] == step * 2
+        threads = {ident for _, ident in events}
+        assert len(threads) == 1 and threading.get_ident() not in threads
 
     @pytest.mark.parametrize("rows", [600, 0])
     def test_no_thread_outlives_a_projection(self, stepped, rows):
