@@ -67,13 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _number(parse, low=-math.inf, high=math.inf, low_open=False):
+def _number(parse, low=-math.inf, high=math.inf):
     """argparse type: ``parse`` the text, then require a finite value in
-    [low, high], or in (low, high] when ``low_open``. An integer is plain
-    ASCII decimal digits: no sign, space, underscore or other script's
-    digits, all of which Python's ``int`` accepts."""
+    [low, high]. An integer is plain ASCII decimal digits: no sign, space,
+    underscore or other script's digits, all of which Python's ``int``
+    accepts."""
     kind = "an integer" if parse is int else "a number"
-    interval = f"{'(' if low_open else '['}{low}, {high}]"
+    interval = f"[{low}, {high}]"
 
     def check(text: str):
         if parse is int and not (text.isascii() and text.isdigit()):
@@ -83,7 +83,7 @@ def _number(parse, low=-math.inf, high=math.inf, low_open=False):
         except ValueError:
             raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
         # comparisons, not math.isfinite, which overflows on a huge int
-        if not (-math.inf < value < math.inf and (low < value if low_open else low <= value) and value <= high):
+        if not (-math.inf < value < math.inf and low <= value <= high):
             raise argparse.ArgumentTypeError(f"must be finite and in {interval}: {text!r}")
         return value
 

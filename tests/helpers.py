@@ -143,6 +143,24 @@ def pls_projected_pairs(train, val, components: int = 32):
     )
 
 
+def abs_latent_split(seed: int):
+    """(train, held-out) pairs of a task no linear map can bind: a latent
+    z ~ N(0, I_32), video = z Mv + n and audio = |z| Ma + n, with 1024-d
+    standard Gaussian maps and noise (σ = 1). z and |z| are uncorrelated, so
+    the two sides have no cross-covariance to bind. 2500 pairs, the last 500
+    held out."""
+    from avbinder.embedio import EmbeddingMatrix, PairedDataset
+
+    rng = np.random.default_rng(seed)
+    pairs, latent_dim, dim = 2500, 32, 1024
+    z = rng.standard_normal((pairs, latent_dim))
+    video = z @ rng.standard_normal((latent_dim, dim)) + rng.standard_normal((pairs, dim))
+    audio = np.abs(z) @ rng.standard_normal((latent_dim, dim)) + rng.standard_normal((pairs, dim))
+    ids = tuple(f"abs-{i:05d}" for i in range(pairs))
+    data = PairedDataset(video=EmbeddingMatrix(ids, video), audio=EmbeddingMatrix(ids, audio))
+    return data.take(range(pairs - 500)), data.take(range(pairs - 500, pairs))
+
+
 def write_integer_search_fixture(root, seed: int = 4, pairs: int = 40):
     """Checkpoint plus paired MVBE files whose projections are exact integers.
 

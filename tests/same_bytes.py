@@ -1,11 +1,11 @@
-"""Record or check the bytes avbinder prints and writes on perfbench's inputs.
+"""Record or check the bytes avbinder prints and writes on perfbench's inputs,
+under every OpenBLAS kernel family numpy's bundled library ships.
 
-    python3 tests/same_bytes.py --out hashes.json [--train 1] [--search 1 2 3] [--crop 1 2 3]
-    python3 tests/same_bytes.py --check hashes.json
+    python3 tests/same_bytes.py --out tests/same_bytes.json [--train 1] [--search 1] [--crop 1]
+    python3 tests/same_bytes.py --check tests/same_bytes.json [--train SEED ...] [--search SEED ...] [--crop SEED ...]
 
-For each seed, ``perfbench/gen.py`` generates the workload's inputs in a
-child process, and the commands below run in this process on the
-``src/`` tree beside this script:
+For each seed, ``perfbench/gen.py`` generates the workload's inputs, and
+these commands run on the ``src/`` tree beside this script:
 
 * train: perfbench's ``train`` argv; the checkpoint, the loss history and
   both held-out files are hashed;
@@ -15,14 +15,29 @@ child process, and the commands below run in this process on the
 * crop: ``crop --out`` on every clip; its stdout and every written frame
   are hashed.
 
-The SHA-256 of each output, with each command's exit code, goes to the
-``--out`` JSON under ``runs``, beside the name of the kernel numpy's
-bundled OpenBLAS ran (``openblas_kernel``; GEMM bits differ between
-kernels). ``--check FILE`` reruns the workloads and seeds that FILE
-records, names every output that differs, and exits 1 if any does; it
-exits 2, comparing nothing, when OpenBLAS runs another kernel than FILE
-records (``OPENBLAS_CORETYPE`` forces one). Pytest does not collect this
-file, and it changes nothing under ``perfbench/``.
+GEMM bits differ between kernels, so the JSON holds one section of train
+and search runs per kernel family (``kernels``, keyed by the name that
+``scipy_openblas_get_corename64_`` reports) and one ``crop`` section, since
+crop runs no BLAS. Each run maps every output to its SHA-256, beside each
+command's exit code.
+
+``--out FILE`` writes the whole file in one command. It runs crop in this
+process and each family of ``FAMILIES`` in a child process with
+``OPENBLAS_CORETYPE`` set; a family is left out only when OpenBLAS reports
+another kernel than the one forced (a CPU that lacks the family's
+instructions). Each seed list defaults to seed 1.
+
+``--check FILE`` runs in this process on the kernel OpenBLAS picks
+(``OPENBLAS_CORETYPE`` forces one). It reruns the crop runs and the runs of
+that kernel's section, names every output that differs, and exits 1 if any
+does. A seed list, when given, chooses which recorded runs to rerun, and an
+empty one (``--crop`` alone) none. It exits 2, comparing nothing, when FILE
+has no section for the running kernel, records no run a seed list names, or
+nothing is chosen.
+
+Both modes run the BLAS under ``--blas-threads`` threads (default 1).
+Pytest does not collect this file, and it changes nothing under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -42,15 +57,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
+# one OPENBLAS_CORETYPE per GEMM kernel family of the DYNAMIC_ARCH build,
+# each the name OpenBLAS reports back for it
+FAMILIES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
+BLAS_WORKLOADS = ("train", "search")
+
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", help="write the hashes to this JSON file")
+    mode.add_argument("--out", help="write the hashes of every kernel family to this JSON file")
     mode.add_argument("--check", help="compare with the hashes recorded in this JSON file")
-    parser.add_argument("--train", type=int, nargs="*", default=[1], metavar="SEED")
-    parser.add_argument("--search", type=int, nargs="*", default=[1, 2, 3], metavar="SEED")
-    parser.add_argument("--crop", type=int, nargs="*", default=[1, 2, 3], metavar="SEED")
+    for workload in ("train", "search", "crop"):
+        parser.add_argument(f"--{workload}", type=int, nargs="*", metavar="SEED",
+                            help="default: 1 with --out, every recorded seed with --check")
     parser.add_argument("--blas-threads", type=int, default=1)
     return parser.parse_args()
 
@@ -78,12 +98,6 @@ def run(av, argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = av.cli.run_cli(argv)
     return code, out.getvalue()
-
-
-def generate(workload: str, seed: int, work: Path) -> dict:
-    subprocess.run([sys.executable, str(PERFBENCH / "gen.py"), "--workload", workload,
-                    "--seed", str(seed), "--out", str(work)], check=True)
-    return json.loads((work / "truth.json").read_text())
 
 
 def hash_train(av, workloads, work: Path, truth: dict, seed: int) -> dict:
@@ -124,45 +138,92 @@ def hash_crop(av, workloads, work: Path, truth: dict, seed: int) -> dict:
 HASHERS = {"train": hash_train, "search": hash_search, "crop": hash_crop}
 
 
-def record(av, workloads, runs: list[tuple[str, int]]) -> dict:
-    recorded = {}
-    for workload, seed in runs:
-        with tempfile.TemporaryDirectory(prefix=f"same-bytes-{workload}-{seed}-") as tmp:
-            work = Path(tmp)
-            truth = generate(workload, seed, work)
-            recorded[f"{workload}/{seed}"] = HASHERS[workload](av, workloads, work, truth, seed)
-        print(f"same_bytes: {workload} seed {seed} done", file=sys.stderr)
-    return recorded
-
-
-def main() -> int:
-    args = parse_args()
-    # the BLAS pool is sized when numpy loads, so this precedes every import
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(args.blas_threads)
+def record(runs: list[str]) -> dict:
+    """Each run key (``"workload/seed"``) mapped to its outputs' hashes. Set
+    the BLAS environment first: this imports avbinder, and with it numpy."""
     sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
     import avbinder as av
     import avbinder.cli  # noqa: F401
+    import gen
     import workloads
 
+    recorded = {}
+    for run_key in runs:
+        workload, seed = run_key.split("/")
+        with tempfile.TemporaryDirectory(prefix=f"same-bytes-{workload}-{seed}-") as tmp:
+            work = Path(tmp)
+            truth = gen.GENERATORS[workload](int(seed), work)
+            recorded[run_key] = HASHERS[workload](av, workloads, work, truth, int(seed))
+        print(f"same_bytes: {run_key} done", file=sys.stderr)
+    return recorded
+
+
+def record_in_child(family: str, runs: list[str]) -> tuple[str | None, dict]:
+    """(the kernel OpenBLAS reports, the runs' hashes) from a child process
+    with ``OPENBLAS_CORETYPE`` set to ``family``; the hashes are empty when
+    it reports another kernel."""
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        out = Path(tmp) / "section.json"
+        child = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import same_bytes; same_bytes.child()"
+        subprocess.run([sys.executable, "-c", child, str(out), family, *runs],
+                       env={**os.environ, "OPENBLAS_CORETYPE": family}, check=True)
+        section = json.loads(out.read_text())
+    return section["kernel"], section["runs"]
+
+
+def child() -> None:
+    """The child of :func:`record_in_child`: argv holds the output path, the
+    family and the run keys."""
+    out, family, *runs = sys.argv[1:]
     kernel = openblas_kernel()
-    if args.check:
-        manifest = json.loads(Path(args.check).read_text())
-        if manifest["openblas_kernel"] != kernel:
-            print(f"same_bytes: {args.check} was recorded on the {manifest['openblas_kernel']} kernel, "
-                  f"OpenBLAS runs {kernel}; nothing compared", file=sys.stderr)
-            return 2
-        want = manifest["runs"]
-        runs = [(key.split("/")[0], int(key.split("/")[1])) for key in want]
-    else:
-        runs = [(w, s) for w in HASHERS for s in getattr(args, w)]
-    got = record(av, workloads, runs)
-    if not args.check:
-        manifest = {"openblas_kernel": kernel, "runs": got}
-        Path(args.out).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        print(f"same_bytes: wrote {sum(map(len, got.values()))} entries ({kernel} kernel) to {args.out}",
-              file=sys.stderr)
-        return 0
+    hashes = record(runs) if kernel == family else {}
+    Path(out).write_text(json.dumps({"kernel": kernel, "runs": hashes}))
+
+
+def write_manifest(args: argparse.Namespace) -> int:
+    def runs(workloads):
+        return [f"{w}/{s}" for w in workloads for s in ([1] if getattr(args, w) is None else getattr(args, w))]
+
+    manifest = {"crop": record(runs(["crop"])), "kernels": {}}
+    for family in FAMILIES:
+        kernel, hashes = record_in_child(family, runs(BLAS_WORKLOADS))
+        if kernel != family:
+            print(f"same_bytes: OPENBLAS_CORETYPE={family} runs the {kernel} kernel; {family} left out",
+                  file=sys.stderr)
+            continue
+        manifest["kernels"][family] = hashes
+    Path(args.out).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    sections = [manifest["crop"], *manifest["kernels"].values()]
+    print(f"same_bytes: wrote {sum(len(r) for s in sections for r in s.values())} entries "
+          f"(crop and {', '.join(manifest['kernels'])}) to {args.out}", file=sys.stderr)
+    return 0
+
+
+def nothing_compared(why: str) -> int:
+    print(f"same_bytes: {why}; nothing compared", file=sys.stderr)
+    return 2
+
+
+def check_manifest(args: argparse.Namespace) -> int:
+    kernel = openblas_kernel()
+    print(f"same_bytes: OpenBLAS runs the {kernel} kernel with {args.blas_threads} BLAS threads", file=sys.stderr)
+    manifest = json.loads(Path(args.check).read_text())
+    sections = {"crop": manifest["crop"], **dict.fromkeys(BLAS_WORKLOADS, manifest["kernels"].get(kernel))}
+    want = {}
+    for workload, section in sections.items():
+        seeds = getattr(args, workload)
+        if seeds == []:
+            continue
+        if section is None:
+            return nothing_compared(f"{args.check} has no {kernel} section (it has {', '.join(manifest['kernels'])})")
+        keys = [k for k in section if k.startswith(f"{workload}/")] if seeds is None else [f"{workload}/{s}" for s in seeds]
+        missing = [k for k in keys if k not in section]
+        if missing:
+            return nothing_compared(f"{args.check} records no {', '.join(missing)} for this kernel")
+        want.update((k, section[k]) for k in keys)
+    if not want:
+        return nothing_compared("no run chosen")
+    got = record(list(want))
     differences = [
         f"{run_key}: {label}: recorded {want[run_key].get(label)}, got {got[run_key].get(label)}"
         for run_key in want
@@ -173,6 +234,15 @@ def main() -> int:
         print(line)
     print(f"same_bytes: {len(differences)} differences in {sum(map(len, want.values()))} entries", file=sys.stderr)
     return 1 if differences else 0
+
+
+def main() -> int:
+    args = parse_args()
+    # the BLAS pool is sized when numpy loads, so this precedes every import;
+    # the children of --out inherit it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(args.blas_threads)
+    return write_manifest(args) if args.out else check_manifest(args)
 
 
 if __name__ == "__main__":

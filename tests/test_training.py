@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import load_outcome, pls_projected_pairs, projected_pairs, reference_train_step
+from helpers import abs_latent_split, load_outcome, pls_projected_pairs, projected_pairs, reference_train_step
 
 import avbinder
 from avbinder.binder import BindModel, project_audio
@@ -41,6 +41,16 @@ def noisy_split(seed):
     """(train, held-out) halves of the noise-16 task: 2000 and 500 pairs."""
     data = gen_synthetic(2500, 32, 16.0, seed=seed)
     return split_dataset(data, SplitSpec(n_val=500, seed=derive_seed(seed, "split")))
+
+
+def full_size_model(seed):
+    """Both heads at their default 1024 -> 512 -> 256 shape, as ``avbinder
+    train --seed SEED`` builds them at the default tau."""
+    return BindModel(
+        video_head=init_head(derive_seed(seed, "video-head"), d_in=1024),
+        audio_head=init_head(derive_seed(seed, "audio-head"), d_in=1024),
+        temperature=0.07,
+    )
 
 
 def small_model(seed=0, d_in=64, tau=0.07):
@@ -460,11 +470,7 @@ class TestTrainLoop:
         # task reads 100 %), so a loss of training quality shows here
         seed = 0
         train_set, val_set = noisy_split(seed)
-        model = BindModel(
-            video_head=init_head(derive_seed(seed, "video-head"), d_in=1024),
-            audio_head=init_head(derive_seed(seed, "audio-head"), d_in=1024),
-            temperature=0.07,
-        )
+        model = full_size_model(seed)
         train(model, train_set, TrainConfig(epochs=10, seed=seed))
         assert recall_at_k(projected_pairs(model, val_set), ks=[1]).recall[1] >= 0.55
 
@@ -474,6 +480,17 @@ class TestTrainLoop:
         # split reads 98.4 and 99.2 % R@1, so the task can show a quality gap
         train_set, val_set = noisy_split(seed)
         assert recall_at_k(pls_projected_pairs(train_set, val_set), ks=[1]).recall[1] >= 0.95
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_heads_bind_what_no_linear_map_can(self, seed):
+        # audio carries |z| where video carries z, so the two sides have no
+        # cross-covariance: PLS reads 0.0 % R@1 at seeds 0 and 1 (chance is
+        # 0.2 %), while the MLP heads read 99.8 and 100 % after 10 epochs
+        train_set, val_set = abs_latent_split(seed)
+        model = full_size_model(seed)
+        train(model, train_set, TrainConfig(epochs=10, seed=seed))
+        assert recall_at_k(projected_pairs(model, val_set), ks=[1]).recall[1] >= 0.90
+        assert recall_at_k(pls_projected_pairs(train_set, val_set), ks=[1]).recall[1] <= 0.02
 
     def test_eval_callback_cadence(self):
         data = gen_synthetic(40, 4, 0.1, seed=2, dim=64)
@@ -757,15 +774,21 @@ class TestCheckpoint:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_resumed_run_matches_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("tau", [
+        0.125,
+        pytest.param(0.07, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 3: the checkpoint stores tau as float32, a fresh model trains with the "
+            "Python float, so the resumed step scores with another tau"))),
+    ])
+    def test_resumed_run_matches_uninterrupted_run(self, tmp_path, tau):
         # the step counter and the moments in the checkpoint carry Adam's
         # bias correction across the reload. tau 0.125 is a float32, so the
-        # reload, which stores tau as float32, does not change it.
+        # reload, which stores tau as float32, does not change it; 0.07 is not.
         data = gen_synthetic(16, 4, 0.1, seed=8, dim=64)
         xv, xa = data.video.data, data.audio.data
 
         def first_step():
-            model = small_model(seed=3, tau=0.125)
+            model = small_model(seed=3, tau=tau)
             state = TrainState.for_model(model, seed=4)
             rng = np.random.default_rng(5)
             train_step(model, xv, xa, state, 1e-2, rng)
